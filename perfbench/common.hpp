@@ -209,8 +209,9 @@ class ServeBench {
   /// checks. Spans per request when tracing is on.
   ServeResult run(double seconds, ExecContext local_exec);
 
-  /// Spec of the largest instance with its reduce palette; the traced run
-  /// probes the layers on it.
+  /// The probe instance: the most popular instance of the largest size. The
+  /// traced run probes the layers on it; palettes and specs are given for
+  /// reduce (delta1) or lowspace (deg1).
   const Graph& probe_graph() const;
   const PaletteSet& probe_palettes(bool lowspace) const;
   const std::string& probe_graph_spec() const;
