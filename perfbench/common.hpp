@@ -165,7 +165,7 @@ struct ServeConfig {
   std::uint64_t seed = 1;
   std::vector<NodeId> sizes;  // three instance sizes, four instances each
   double avg_deg = 32;
-  unsigned clients = 4;
+  unsigned clients = 2;
   unsigned server_threads = 4;
   std::string socket_path;
 };

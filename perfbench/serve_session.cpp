@@ -49,6 +49,25 @@ struct Planned {
   std::uint64_t seed = 0;
 };
 
+/// u_k = frac(u_0 + k * step) with an irrational step: every stretch of the
+/// sequence is spread evenly over [0, 1). Drawing the request mix from it
+/// keeps the shares of repeats, instances and algorithms close to plan in
+/// every run, so the mix does not move throughput between seeds; the seed
+/// sets the starting points.
+class EvenSequence {
+ public:
+  EvenSequence(double start, double step) : u_(start), step_(step) {}
+  double next() {
+    u_ += step_;
+    if (u_ >= 1) u_ -= 1;
+    return u_;
+  }
+
+ private:
+  double u_;
+  double step_;
+};
+
 /// One client's deterministic request stream: Zipf-popular instances, 75%
 /// reduce / 25% lowspace, and ~30% exact repeats of one of the client's
 /// last few requests (recent enough to still be in the result cache). New
@@ -60,20 +79,25 @@ class RequestStream {
                 const std::vector<double>& cdf,
                 const std::vector<unsigned>& by_rank)
       : rng_(detcol::sub_seed(seed, 1000 + client)),
+        // Steps sqrt(2)-1, (sqrt(5)-1)/2 and sqrt(3)-1 are independent over
+        // the rationals, so the three sequences do not move in step.
+        repeat_(rng_.next_double(), 0.41421356237309515),
+        rank_(rng_.next_double(), 0.61803398874989485),
+        algo_(rng_.next_double(), 0.73205080756887719),
         cdf_(cdf),
         by_rank_(by_rank),
         next_seed_((std::uint64_t{client} + 1) << 24) {}
 
   Planned next() {
-    if (!recent_.empty() && rng_.next_double() < kRepeatShare) {
+    if (!recent_.empty() && repeat_.next() < kRepeatShare) {
       return recent_[rng_.next_below(recent_.size())];
     }
     Planned p;
-    const double u = rng_.next_double();
+    const double u = rank_.next();
     const auto rank = static_cast<std::size_t>(
         std::upper_bound(cdf_.begin(), cdf_.end(), u) - cdf_.begin());
     p.inst = by_rank_[std::min(rank, by_rank_.size() - 1)];
-    p.lowspace = rng_.next_double() < kLowSpaceShare;
+    p.lowspace = algo_.next() < kLowSpaceShare;
     p.seed = ++next_seed_;
     recent_.push_back(p);
     if (recent_.size() > kRepeatWindow) recent_.pop_front();
@@ -82,6 +106,9 @@ class RequestStream {
 
  private:
   detcol::Xoshiro256 rng_;
+  EvenSequence repeat_;
+  EvenSequence rank_;
+  EvenSequence algo_;
   const std::vector<double>& cdf_;
   const std::vector<unsigned>& by_rank_;
   std::uint64_t next_seed_;
