@@ -21,11 +21,6 @@
 // stream, plus end-to-end LowSpaceColorReduce thread scaling (bit-identical
 // asserted); written to BENCH_lowspace.json. Flags: --ls-n, --ls-deg,
 // --ls-evals, --ls-scale-n, --ls-scale-threads, --lowspace-json=PATH.
-// Part 7 (F2g): single-thread LowSpaceColorReduce wall time after the
-// lock-free MpcCosts refactor vs the committed pre-refactor baseline
-// (mutex-guarded MpcSim), on the reference n=2^14 instance. Flags:
-// --ls-lockfree-n, --ls-prerefactor-seconds (the baseline measured on the
-// seed build of the same host; 0 skips the comparison row).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -503,38 +498,6 @@ int main(int argc, char** argv) {
     t7.print("F2f — LowSpaceColorReduce end-to-end thread scaling (n=" +
              std::to_string(lsn) + ", results bit-identical)");
 
-    // Part 7 (F2g): the cost of the accounting itself. One sequential run
-    // on the reference instance, compared against the pre-refactor
-    // baseline (branch-shared mutex-guarded MpcSim). The default is the
-    // seed tree rebuilt at these exact flags (-O2 -DNDEBUG) on the same
-    // 1-CPU host, interleaved with the lock-free runs to share load.
-    const NodeId lfn = static_cast<NodeId>(
-        args.get_uint("ls-lockfree-n", 1u << 14));
-    const double prerefactor_seconds =
-        args.get_double("ls-prerefactor-seconds", 0.425);
-    const Graph glf = gen_random_regular(lfn, ldeg, 13);
-    const PaletteSet pallf = PaletteSet::delta_plus_one(glf);
-    LowSpaceParams lf_params;
-    lf_params.delta = 0.04;
-    WallTimer lf_timer;
-    const auto lf = low_space_color(glf, pallf, lf_params);
-    const double lockfree_seconds = lf_timer.seconds();
-    Table t8({"accounting", "seconds", "rounds"});
-    if (prerefactor_seconds > 0.0) {
-      t8.row().cell("mutex-guarded MpcSim (seed build)")
-          .cell(prerefactor_seconds, 3)
-          .cell(lf.ledger.total_rounds());
-    }
-    t8.row().cell("branch-private MpcCosts")
-        .cell(lockfree_seconds, 3)
-        .cell(lf.ledger.total_rounds());
-    t8.print("F2g — lock-free cost accounting, 1-thread LowSpace (n=" +
-             std::to_string(lfn) + ")");
-    if (prerefactor_seconds > 0.0) {
-      std::printf("lock-free vs pre-refactor: %.2fx\n",
-                  prerefactor_seconds / lockfree_seconds);
-    }
-
     if (!ljson.empty()) {
       JsonWriter w;
       w.begin_object();
@@ -577,17 +540,6 @@ int main(int argc, char** argv) {
         w.end_object();
       }
       w.end_array();
-      w.end_object();
-      w.key("lockfree_accounting").begin_object();
-      w.key("n").value(std::uint64_t{lfn});
-      w.key("delta").value(lf_params.delta);
-      w.key("rounds").value(lf.ledger.total_rounds());
-      w.key("seconds").value(lockfree_seconds);
-      w.key("prerefactor_seconds").value(prerefactor_seconds);
-      if (prerefactor_seconds > 0.0) {
-        w.key("speedup_vs_prerefactor")
-            .value(prerefactor_seconds / lockfree_seconds);
-      }
       w.end_object();
       w.end_object();
       std::ofstream out(ljson);

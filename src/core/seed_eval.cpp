@@ -1,26 +1,8 @@
 #include "core/seed_eval.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace detcol {
-namespace {
-
-/// Sorted union of all palettes of `inst`'s nodes.
-std::vector<Color> color_universe(const Instance& inst,
-                                  const PaletteSet& palettes) {
-  std::vector<Color> colors;
-  for (NodeId v = 0; v < inst.n(); ++v) {
-    const auto p = palettes.palette(inst.orig[v]);
-    colors.insert(colors.end(), p.begin(), p.end());
-  }
-  std::sort(colors.begin(), colors.end());
-  colors.erase(std::unique(colors.begin(), colors.end()), colors.end());
-  return colors;
-}
-
-}  // namespace
 
 std::pair<KWiseHash, KWiseHash> seed_hash_pair(const SeedBits& seed,
                                                unsigned independence,
@@ -41,39 +23,15 @@ SeedEvalEngine::SeedEvalEngine(const Instance& inst, const PaletteSet& palettes,
       b_(::detcol::num_bins(inst.ell, params)),  // the free function, not
                                                  // the member accessor
       c_(params.independence),
-      colors_(color_universe(inst, palettes)),
+      index_(inst.orig, palettes, exec),
       h1_(acquire_power_table(
               params.tables,
               std::vector<std::uint64_t>(inst.orig.begin(), inst.orig.end()),
               c_),
           b_),
-      h2_(acquire_power_table(params.tables, colors_, c_), b_ - 1) {
+      h2_(acquire_power_table(params.tables, index_.colors(), c_), b_ - 1) {
   DC_CHECK(b_ >= 2, "partition needs at least 2 bins");
-
-  // Per-node color-universe index. Palettes are sorted and duplicate-free
-  // (PaletteSet invariant), so a palette equals the universe iff the sizes
-  // match; otherwise a merge walk maps each color to its universe slot.
-  const NodeId n = inst.n();
-  full_palette_.assign(n, false);
-  pal_off_.assign(static_cast<std::size_t>(n) + 1, 0);
-  std::size_t partial_total = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    const std::size_t sz = palettes.palette_size(inst.orig[v]);
-    full_palette_[v] = sz == colors_.size();
-    if (!full_palette_[v]) partial_total += sz;
-    pal_off_[v + 1] = partial_total;
-  }
-  pal_idx_.reserve(partial_total);
-  for (NodeId v = 0; v < n; ++v) {
-    if (full_palette_[v]) continue;
-    auto it = colors_.begin();
-    for (const Color c : palettes.palette(inst.orig[v])) {
-      it = std::lower_bound(it, colors_.end(), c);
-      DC_ASSERT(it != colors_.end() && *it == c);
-      pal_idx_.push_back(static_cast<std::uint32_t>(it - colors_.begin()));
-    }
-  }
-  cbin_.assign(colors_.size(), 0);
+  cbin_.assign(index_.num_colors(), 0);
   colors_in_bin_.assign(b_ - 1, 0);
 }
 
@@ -122,13 +80,13 @@ const Classification& SeedEvalEngine::evaluate(const SeedBits& seed) {
         out.pal_in_bin[v] = 0;  // last bin receives no colors
         continue;
       }
-      if (full_palette_[v]) {
+      if (index_.full(v)) {
         out.pal_in_bin[v] = colors_in_bin_[bin - 1];
         continue;
       }
       std::uint64_t p = 0;
-      for (std::size_t k = pal_off_[v]; k < pal_off_[v + 1]; ++k) {
-        if (cbin_[pal_idx_[k]] == bin) ++p;
+      for (const std::uint32_t k : index_.slots(v)) {
+        if (cbin_[k] == bin) ++p;
       }
       out.pal_in_bin[v] = p;
     }

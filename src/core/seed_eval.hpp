@@ -15,7 +15,10 @@
 //  * distinct-color memoization — h2 is evaluated once per distinct color in
 //    the union of palettes instead of once per (node, color) pair; nodes
 //    whose palette is the full color universe (every node, in the uniform
-//    [Δ+1] case) read their p'(v) from a per-bin color count in O(1);
+//    [Δ+1] case) read their p'(v) from a per-bin color count in O(1). The
+//    universe and every partial palette's universe slots come from a
+//    PaletteIndex (graph/palette.hpp), built in O(Σ|palette| + D log D) for
+//    D distinct colors with both passes sharded over the engine's exec;
 //  * scratch reuse — all classification buffers live in a ClassifyScratch
 //    owned by the engine and reused across evaluations.
 //
@@ -60,7 +63,7 @@ class SeedEvalEngine {
   double cost_size(const SeedBits& seed) { return evaluate(seed).cost_size; }
 
   std::uint64_t num_bins() const { return b_; }
-  std::size_t num_distinct_colors() const { return colors_.size(); }
+  std::size_t num_distinct_colors() const { return index_.num_colors(); }
 
  private:
   const Instance& inst_;
@@ -71,16 +74,12 @@ class SeedEvalEngine {
   std::uint64_t b_;
   unsigned c_;
 
-  std::vector<Color> colors_;  // sorted union of all palettes (built first:
-                               // h2_'s power table is over these points)
-  BatchKWiseEval h1_;          // points: original node ids, range b
-  BatchKWiseEval h2_;          // points: distinct colors, range b-1
-  // Per node: true if its palette equals the full color universe (then p'
-  // comes from the per-bin count); otherwise its colors as indices into
-  // colors_, stored flat in pal_idx_[pal_off_[v] .. pal_off_[v+1]).
-  std::vector<bool> full_palette_;
-  std::vector<std::uint32_t> pal_idx_;
-  std::vector<std::size_t> pal_off_;
+  // Per node: full-universe flag (then p' comes from the per-bin count) or
+  // its colors as slots of the universe. Built first: h2_'s power table is
+  // over the universe colors.
+  PaletteIndex index_;
+  BatchKWiseEval h1_;  // points: original node ids, range b
+  BatchKWiseEval h2_;  // points: distinct colors, range b-1
 
   // Per-evaluation scratch. raw_bin / deg_in_bin are only recomputed when an
   // h1 coefficient actually moved, cbin_/colors_in_bin_ when h2 did.

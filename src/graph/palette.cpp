@@ -1,6 +1,9 @@
 #include "graph/palette.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -53,7 +56,6 @@ std::vector<Color> distinct_colors(Color color_space, std::size_t k,
     }
   } else {
     // Sparse case: rejection sampling.
-    std::vector<Color> sorted;
     while (out.size() < k) {
       const Color c = rng.next_below(color_space);
       if (std::find(out.begin(), out.end(), c) == out.end()) out.push_back(c);
@@ -123,6 +125,130 @@ bool PaletteSet::contains(NodeId v, Color c) const {
   if (shared_) return c < shared_->size();
   const auto& p = pal_[v];
   return std::binary_search(p.begin(), p.end(), c);
+}
+
+namespace {
+
+/// Open-addressing map Color -> uint32 (linear probing, power-of-two
+/// capacity, at most half full). Occupancy is a flag of its own, so every
+/// Color value is a valid key. probe() reads only `key` and `used`, and
+/// set() writes only `value`, so set() calls on distinct keys may run
+/// concurrently.
+class ColorMap {
+ public:
+  ColorMap() { rehash(16); }
+
+  /// Inserts `c` unless present; returns true iff it was absent.
+  bool insert(Color c) {
+    std::size_t i = probe(c);
+    if (slots_[i].used) return false;
+    if (2 * (size_ + 1) > slots_.size()) {
+      rehash(2 * slots_.size());
+      i = probe(c);
+    }
+    slots_[i].key = c;
+    slots_[i].used = true;
+    ++size_;
+    return true;
+  }
+
+  /// Value of / store a value for a present key.
+  std::uint32_t at(Color c) const {
+    const Slot& s = slots_[probe(c)];
+    DC_ASSERT(s.used);
+    return s.value;
+  }
+  void set(Color c, std::uint32_t value) {
+    Slot& s = slots_[probe(c)];
+    DC_ASSERT(s.used);
+    s.value = value;
+  }
+
+ private:
+  struct Slot {
+    Color key = 0;
+    std::uint32_t value = 0;
+    bool used = false;
+  };
+
+  /// The slot holding `c`, else the free slot that ends its probe run.
+  std::size_t probe(Color c) const {
+    std::size_t i = (c * 0x9E3779B97F4A7C15ULL) >> shift_;  // Fibonacci hash
+    while (slots_[i].used && slots_[i].key != c) i = (i + 1) & mask_;
+    return i;
+  }
+
+  void rehash(std::size_t capacity) {
+    const std::vector<Slot> old = std::exchange(slots_,
+                                                std::vector<Slot>(capacity));
+    mask_ = capacity - 1;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+    for (const Slot& s : old) {
+      if (s.used) slots_[probe(s.key)] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  std::size_t mask_ = 0;
+  unsigned shift_ = 0;
+};
+
+}  // namespace
+
+PaletteIndex::PaletteIndex(std::span<const NodeId> nodes,
+                           const PaletteSet& palettes, ExecContext exec) {
+  const std::size_t n = nodes.size();
+
+  // Pass 1: every shard lists the distinct colors of its own palettes.
+  std::vector<std::vector<Color>> shard_colors(shard_count(n));
+  parallel_for_shards(exec, n, [&](std::size_t s, std::size_t begin,
+                                   std::size_t end) {
+    ColorMap seen;
+    for (std::size_t i = begin; i < end; ++i) {
+      for (const Color c : palettes.palette(nodes[i])) {
+        if (seen.insert(c)) shard_colors[s].push_back(c);
+      }
+    }
+  });
+
+  // The union of the shard lists, sorted; each color's value in slot_of
+  // becomes its index in the universe.
+  ColorMap slot_of;
+  for (const auto& list : shard_colors) {
+    for (const Color c : list) {
+      if (slot_of.insert(c)) colors_.push_back(c);
+    }
+  }
+  shard_colors = {};
+  std::sort(colors_.begin(), colors_.end());
+  DC_CHECK(colors_.size() <= std::numeric_limits<std::uint32_t>::max(),
+           "palette universe exceeds 2^32 colors");
+  parallel_for_shards(exec, colors_.size(), [&](std::size_t, std::size_t begin,
+                                                std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      slot_of.set(colors_[k], static_cast<std::uint32_t>(k));
+    }
+  });
+
+  // Pass 2: full flags and offsets (O(n)), then every partial palette's
+  // slots by lookup.
+  full_.resize(n);
+  off_.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t size = palettes.palette_size(nodes[i]);
+    full_[i] = size == colors_.size();
+    off_[i + 1] = off_[i] + (full_[i] ? 0 : size);
+  }
+  slots_.resize(off_[n]);
+  parallel_for_shards(exec, n, [&](std::size_t, std::size_t begin,
+                                   std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (full_[i]) continue;
+      std::uint32_t* out = slots_.data() + off_[i];
+      for (const Color c : palettes.palette(nodes[i])) *out++ = slot_of.at(c);
+    }
+  });
 }
 
 }  // namespace detcol

@@ -17,6 +17,8 @@
 //                 every node's own copy (whole-set copy-on-write) — the
 //                 mutating pipelines genuinely need per-node palettes, so
 //                 finer granularity would only complicate the hot accessors.
+// PaletteIndex (below) is the seed engines' read-only view of a node list's
+// palettes over their distinct colors.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "exec/exec.hpp"
 #include "graph/graph.hpp"
 #include "util/function_ref.hpp"
 
@@ -96,6 +99,47 @@ class PaletteSet {
   // immutable — copies of the set alias it safely).
   std::shared_ptr<const std::vector<Color>> shared_;
   NodeId shared_nodes_ = 0;
+};
+
+/// The palettes of a node list, indexed over their color universe: the
+/// sorted distinct colors of every listed palette, and per listed node
+/// either "full" (its palette is the whole universe) or its colors as
+/// universe slots. Both seed engines hold one: h2 is evaluated once per
+/// universe color, and p'(v) comes from a per-bin count for full palettes
+/// and from the slots otherwise.
+///
+/// Built in O(Σ|palette| + D log D) for D distinct colors: a hash set
+/// collects the distinct colors, only those D are sorted, and each partial
+/// palette's slots come from table lookups. Both passes shard over `exec` on
+/// the static shard boundaries of exec/exec.hpp. The universe is a sorted
+/// set and everything else is a function of it and the palettes, so the
+/// index is identical for every thread count.
+class PaletteIndex {
+ public:
+  /// Index the palettes of `nodes` (local node i is `palettes` node
+  /// nodes[i]). Any Color value may appear in a palette.
+  PaletteIndex(std::span<const NodeId> nodes, const PaletteSet& palettes,
+               ExecContext exec = {});
+
+  /// Sorted distinct colors of every indexed palette.
+  const std::vector<Color>& colors() const { return colors_; }
+  std::size_t num_colors() const { return colors_.size(); }
+
+  /// True iff local node i's palette is the whole universe. Palettes are
+  /// sorted and duplicate-free, so that is the case iff the sizes match.
+  bool full(std::size_t i) const { return full_[i] != 0; }
+
+  /// Local node i's colors as ascending indices into colors(); empty when
+  /// full(i).
+  std::span<const std::uint32_t> slots(std::size_t i) const {
+    return {slots_.data() + off_[i], off_[i + 1] - off_[i]};
+  }
+
+ private:
+  std::vector<Color> colors_;
+  std::vector<char> full_;           // per local node
+  std::vector<std::size_t> off_;     // slots of node i: [off_[i], off_[i+1])
+  std::vector<std::uint32_t> slots_;
 };
 
 }  // namespace detcol

@@ -9,19 +9,6 @@
 namespace detcol {
 namespace {
 
-/// Sorted union of the palettes of `orig`'s nodes.
-std::vector<Color> color_universe(std::span<const NodeId> orig,
-                                  const PaletteSet& palettes) {
-  std::vector<Color> colors;
-  for (const NodeId v : orig) {
-    const auto p = palettes.palette(v);
-    colors.insert(colors.end(), p.begin(), p.end());
-  }
-  std::sort(colors.begin(), colors.end());
-  colors.erase(std::unique(colors.begin(), colors.end()), colors.end());
-  return colors;
-}
-
 std::vector<std::uint64_t> iota_points(std::uint64_t count) {
   std::vector<std::uint64_t> points(count);
   std::iota(points.begin(), points.end(), std::uint64_t{0});
@@ -40,12 +27,12 @@ LowSpaceSeedEngine::LowSpaceSeedEngine(const Graph& g,
     : g_(g),
       b_(num_bins),
       c_(independence),
-      colors_(color_universe(orig, palettes)),
+      index_(orig, palettes, exec),
       h1_(acquire_power_table(
               tables,
               std::vector<std::uint64_t>(orig.begin(), orig.end()), c_),
           b_),
-      h2_(acquire_power_table(tables, colors_, c_), b_ - 1),
+      h2_(acquire_power_table(tables, index_.colors(), c_), b_ - 1),
       exec_(exec) {
   DC_CHECK(b_ >= 2, "low-space partition needs at least 2 bins");
   DC_CHECK(orig.size() == g.num_nodes(), "orig map size mismatch");
@@ -53,33 +40,14 @@ LowSpaceSeedEngine::LowSpaceSeedEngine(const Graph& g,
   const NodeId n = g.num_nodes();
   dev_target_.resize(n);
   slack_.resize(n);
-  full_palette_.assign(n, false);
-  pal_off_.assign(static_cast<std::size_t>(n) + 1, 0);
-  std::size_t partial_total = 0;
   for (NodeId v = 0; v < n; ++v) {
     const double d = static_cast<double>(g.degree(v));
     dev_target_[v] = d / static_cast<double>(b_);
     slack_[v] = std::pow(std::max(d, 2.0), slack_exp);
-    // Palettes are sorted and duplicate-free (PaletteSet invariant), so a
-    // palette equals the universe iff the sizes match.
-    const std::size_t sz = palettes.palette_size(orig[v]);
-    full_palette_[v] = sz == colors_.size();
-    if (!full_palette_[v]) partial_total += sz;
-    pal_off_[v + 1] = partial_total;
-  }
-  pal_idx_.reserve(partial_total);
-  for (NodeId v = 0; v < n; ++v) {
-    if (full_palette_[v]) continue;
-    auto it = colors_.begin();
-    for (const Color col : palettes.palette(orig[v])) {
-      it = std::lower_bound(it, colors_.end(), col);
-      DC_ASSERT(it != colors_.end() && *it == col);
-      pal_idx_.push_back(static_cast<std::uint32_t>(it - colors_.begin()));
-    }
   }
   bin_.assign(n, 0);
   dprime_.assign(n, 0);
-  cbin_.assign(colors_.size(), 0);
+  cbin_.assign(index_.num_colors(), 0);
   colors_in_bin_.assign(b_ - 1, 0);
   good_.assign(n, 0);
 }
@@ -131,11 +99,11 @@ std::uint64_t LowSpaceSeedEngine::violations(const SeedBits& seed) {
                     slack_[v];
           if (ok && bin_[v] != b_) {
             std::uint64_t pprime = 0;
-            if (full_palette_[v]) {
+            if (index_.full(v)) {
               pprime = colors_in_bin_[bin_[v] - 1];
             } else {
-              for (std::size_t k = pal_off_[v]; k < pal_off_[v + 1]; ++k) {
-                if (cbin_[pal_idx_[k]] == bin_[v]) ++pprime;
+              for (const std::uint32_t k : index_.slots(v)) {
+                if (cbin_[k] == bin_[v]) ++pprime;
               }
             }
             if (pprime <= dprime) ok = false;

@@ -20,7 +20,9 @@
 //    costs one multiply-add per point per *changed* seed word;
 //  * distinct-color memoization — h2 is evaluated once per distinct color in
 //    the union of palettes; nodes whose palette is the full color universe
-//    read their p'(v) from a per-bin color count in O(1);
+//    read their p'(v) from a per-bin color count in O(1). The index behind
+//    it is the PaletteIndex SeedEvalEngine holds (graph/palette.hpp):
+//    O(Σ|palette| + D log D) for D distinct colors, sharded over exec;
 //  * change tracking — an MCE chunk inside the h2 half of the seed leaves h1
 //    untouched, so the d'(v) neighbor pass (the expensive O(m) part) is
 //    skipped wholesale, and vice versa;
@@ -81,24 +83,21 @@ class LowSpaceSeedEngine {
   std::span<const char> good() const { return good_; }
 
   std::uint64_t num_bins() const { return b_; }
-  std::size_t num_distinct_colors() const { return colors_.size(); }
+  std::size_t num_distinct_colors() const { return index_.num_colors(); }
 
  private:
   const Graph& g_;
   std::uint64_t b_;
   unsigned c_;
 
-  std::vector<Color> colors_;  // sorted union of the nodes' palettes
-  BatchKWiseEval h1_;          // points: original node ids, range b
-  BatchKWiseEval h2_;          // points: distinct colors, range b-1
+  PaletteIndex index_;  // the nodes' palettes over their color universe
+  BatchKWiseEval h1_;   // points: original node ids, range b
+  BatchKWiseEval h2_;   // points: distinct colors, range b-1
   // Per node: its degree target d/b and slack (seed-independent doubles of
   // the Lemma 4.5 test, precomputed so every evaluation runs the identical
-  // float ops); full-universe flag and palette indices as in SeedEvalEngine.
+  // float ops).
   std::vector<double> dev_target_;
   std::vector<double> slack_;
-  std::vector<bool> full_palette_;
-  std::vector<std::uint32_t> pal_idx_;
-  std::vector<std::size_t> pal_off_;
 
   // Per-evaluation scratch. bin_/dprime_ are only recomputed when an h1
   // coefficient actually moved, cbin_/colors_in_bin_ when h2 did.

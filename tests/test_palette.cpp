@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
 #include <set>
 
+#include "exec/exec.hpp"
 #include "graph/generators.hpp"
 #include "graph/palette.hpp"
 #include "util/check.hpp"
@@ -90,6 +94,143 @@ TEST(Palette, ConstructorSortsInput) {
   const PaletteSet p{std::move(in)};
   const auto pal = p.palette(0);
   EXPECT_TRUE(std::is_sorted(pal.begin(), pal.end()));
+}
+
+// PaletteIndex against a reference built the slow way: concatenate every
+// palette, sort + unique, then lower_bound each palette color into the
+// universe. Checked at 1/2/4/7 threads, so every thread count also yields
+// the same index as every other.
+struct ReferenceIndex {
+  std::vector<Color> colors;
+  std::vector<bool> full;
+  std::vector<std::vector<std::uint32_t>> slots;
+};
+
+ReferenceIndex reference_index(std::span<const NodeId> nodes,
+                               const PaletteSet& palettes) {
+  ReferenceIndex ref;
+  for (const NodeId v : nodes) {
+    const auto p = palettes.palette(v);
+    ref.colors.insert(ref.colors.end(), p.begin(), p.end());
+  }
+  std::sort(ref.colors.begin(), ref.colors.end());
+  ref.colors.erase(std::unique(ref.colors.begin(), ref.colors.end()),
+                   ref.colors.end());
+  for (const NodeId v : nodes) {
+    const auto p = palettes.palette(v);
+    const bool full = p.size() == ref.colors.size();
+    ref.full.push_back(full);
+    std::vector<std::uint32_t> slots;
+    if (!full) {
+      for (const Color c : p) {
+        const auto it =
+            std::lower_bound(ref.colors.begin(), ref.colors.end(), c);
+        slots.push_back(static_cast<std::uint32_t>(it - ref.colors.begin()));
+      }
+    }
+    ref.slots.push_back(std::move(slots));
+  }
+  return ref;
+}
+
+void expect_index_matches_reference(std::span<const NodeId> nodes,
+                                    const PaletteSet& palettes) {
+  const ReferenceIndex want = reference_index(nodes, palettes);
+  for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+    SCOPED_TRACE(threads);
+    const ExecHolder holder = make_exec_holder(threads);
+    const PaletteIndex got(nodes, palettes, holder.exec);
+    ASSERT_EQ(got.colors(), want.colors);
+    EXPECT_EQ(got.num_colors(), want.colors.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      ASSERT_EQ(got.full(i), want.full[i]) << "node " << i;
+      const auto slots = got.slots(i);
+      ASSERT_EQ(std::vector<std::uint32_t>(slots.begin(), slots.end()),
+                want.slots[i])
+          << "node " << i;
+    }
+  }
+}
+
+std::vector<NodeId> iota_nodes(NodeId n) {
+  std::vector<NodeId> nodes(n);
+  std::iota(nodes.begin(), nodes.end(), NodeId{0});
+  return nodes;
+}
+
+TEST(PaletteIndex, SharedUniformDeltaPlusOneIsAllFull) {
+  const Graph g = gen_gnp(9000, 0.002, 3);  // several shards of 2048 nodes
+  const PaletteSet p = PaletteSet::delta_plus_one(g);
+  const std::vector<NodeId> nodes = iota_nodes(g.num_nodes());
+  expect_index_matches_reference(nodes, p);
+  const PaletteIndex index(nodes, p);
+  EXPECT_EQ(index.num_colors(), std::size_t{g.max_degree()} + 1);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_TRUE(index.full(i));
+    EXPECT_TRUE(index.slots(i).empty());
+  }
+}
+
+TEST(PaletteIndex, DegPlusOneLists) {
+  const Graph g = gen_power_law(7000, 2.5, 6.0, 9);
+  const std::vector<NodeId> nodes = iota_nodes(g.num_nodes());
+  expect_index_matches_reference(
+      nodes, PaletteSet::deg_plus_one_lists(g, 100000, 3));
+  // From exactly Δ+1 colors, the max-degree nodes hold the whole universe
+  // and every other node a part of it.
+  const PaletteSet tight =
+      PaletteSet::deg_plus_one_lists(g, Color{g.max_degree()} + 1, 4);
+  expect_index_matches_reference(nodes, tight);
+  const PaletteIndex index(nodes, tight);
+  std::size_t full = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) full += index.full(i);
+  EXPECT_GT(full, 0u);
+  EXPECT_LT(full, nodes.size());
+}
+
+TEST(PaletteIndex, RandomListsOnSubinstance) {
+  // A subinstance: local node i is original node orig[i], not i, and the
+  // universe (tens of thousands of colors) spans many shards too.
+  const Graph g = gen_gnp(12000, 0.001, 5);
+  const PaletteSet p = PaletteSet::random_lists(g, Color{1} << 20, 7);
+  std::vector<NodeId> orig;
+  for (NodeId v = g.num_nodes(); v-- > 0;) {
+    if (v % 3 != 0) orig.push_back(v);
+  }
+  expect_index_matches_reference(orig, p);
+}
+
+TEST(PaletteIndex, MixedFullAndPartialPalettes) {
+  PaletteSet p = PaletteSet::uniform(6000, 40);
+  for (NodeId v = 0; v < 6000; v += 5) p.remove_color(v, v % 40);
+  expect_index_matches_reference(iota_nodes(6000), p);
+}
+
+TEST(PaletteIndex, EmptyNodeList) {
+  const PaletteSet p = PaletteSet::uniform(4, 3);
+  expect_index_matches_reference({}, p);
+  const PaletteIndex index({}, p);
+  EXPECT_EQ(index.num_colors(), 0u);
+  EXPECT_TRUE(index.colors().empty());
+}
+
+TEST(PaletteIndex, AcceptsEveryColorValue) {
+  // 0 and the largest Color values next to small ones, an empty palette,
+  // and colors equal in their low bits (they collide in any hash that
+  // ignores the high bits).
+  constexpr Color kMax = std::numeric_limits<Color>::max();
+  std::vector<std::vector<Color>> lists = {
+      {0, 7, kMax - 1}, {kMax - 1}, {0, 1, 2}, {kMax, 3}, {}, {0}};
+  std::vector<Color> high;
+  for (Color k = 1; k <= 64; ++k) high.push_back(k << 40);
+  lists.push_back(high);
+  lists.push_back({1, 2, 3, kMax - 1, kMax});
+  const PaletteSet p(std::move(lists));
+  const std::vector<NodeId> nodes = iota_nodes(p.num_nodes());
+  expect_index_matches_reference(nodes, p);
+  const PaletteIndex index(nodes, p);
+  EXPECT_EQ(index.colors().front(), 0u);
+  EXPECT_EQ(index.colors().back(), kMax);
 }
 
 }  // namespace
