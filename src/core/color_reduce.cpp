@@ -1,7 +1,6 @@
 #include "core/color_reduce.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <utility>
 
@@ -102,12 +101,12 @@ struct RunState {
 //     reads, and never collides with a greedy candidate. Whether a cross-
 //     branch read observes such a color therefore cannot change any output.
 // Cross-branch color reads go through relaxed atomics (greedy_color,
-// update_palettes) purely to make them well-defined; everything else lives
-// in the branch-private RunState and merges at the fork/join boundaries in
-// bin-index order (TaskGroup::fold). The driver itself is immutable during
-// the recursion apart from those per-node slots: no mutexes, no atomic
-// counters. Net effect: colorings, ledgers, cost blocks and stats are
-// bit-identical for every thread count.
+// remove_neighbor_colors) purely to make them well-defined; everything else
+// lives in the branch-private RunState and merges at the fork/join
+// boundaries in bin-index order (TaskGroup::fold). The driver itself is
+// immutable during the recursion apart from those per-node slots: no
+// mutexes, no atomic counters. Net effect: colorings, ledgers, cost blocks
+// and stats are bit-identical for every thread count.
 class Driver {
  public:
   Driver(const Graph& g, const PaletteSet& palettes,
@@ -210,20 +209,12 @@ class Driver {
   /// are identical for every thread count. Implicit-store removals write
   /// per-node lists owned by this branch, so they go straight to the store.
   void update_palettes(std::span<const NodeId> nodes, RunState& st) {
-    std::uint64_t touched = 0;
-    for (const NodeId v : nodes) {
-      for (const NodeId u : g_.neighbors(v)) {
-        const Color cu = std::atomic_ref<Color>(result_.coloring.color[u])
-                             .load(std::memory_order_relaxed);
-        if (cu == Coloring::kUncolored) continue;
-        if (pal_.remove_color(v, cu)) {
-          if (result_.implicit_store) {
-            result_.implicit_store->remove_color(v, cu);
-          }
-          ++touched;
-        }
-      }
-    }
+    ImplicitPaletteStore* const store = result_.implicit_store.get();
+    const std::uint64_t touched = remove_neighbor_colors(
+        g_, result_.coloring, nodes, pal_, cfg_.exec,
+        [store](NodeId v, Color c) {
+          if (store != nullptr) store->remove_color(v, c);
+        });
     if (!nodes.empty()) {
       model_.lenzen_route(std::max<std::uint64_t>(1, touched),
                           1 + g_.max_degree(), "palette-update", st.costs);
@@ -234,7 +225,7 @@ class Driver {
                       std::span<const NodeId> local_nodes,
                       double ell) const {
     Instance child;
-    child.graph = induced_subgraph(inst.graph, local_nodes);
+    child.graph = induced_subgraph(inst.graph, local_nodes, cfg_.exec);
     child.orig.reserve(local_nodes.size());
     for (const NodeId l : local_nodes) child.orig.push_back(inst.orig[l]);
     child.ell = ell;
@@ -303,22 +294,25 @@ class Driver {
       }
     }
 
-    // Restrict palettes of the color bins 1..b-1 to their h2 share. This
+    // Restrict palettes of the color bins 1..b-1 to their h2 share, by
+    // lookup in the bins the seed engine computed per distinct color. This
     // happens *before* the sibling group is spawned: it is what makes the
     // group's palettes pairwise disjoint, and with them every cross-branch
     // interaction harmless (class comment). The hash and its restrictions
     // register into this branch's batch — ancestors land before descendants
     // when the batch finally applies.
-    std::uint32_t hash_id = 0;
-    if (result_.implicit_store) {
-      hash_id = st.implicit.add_hash(pr.h2);
+    {
+      const PaletteIndex index = std::move(pr.palettes);
+      for (std::uint64_t i = 0; i + 1 < b; ++i) {
+        pal_.restrict_to_bin(bin_local[i], inst.orig, index, pr.color_bin,
+                             static_cast<std::uint32_t>(i + 1), cfg_.exec);
+      }
     }
-    for (std::uint64_t i = 0; i + 1 < b; ++i) {
-      for (const NodeId l : bin_local[i]) {
-        const NodeId v = inst.orig[l];
-        pal_.restrict(v, [&](Color c) { return pr.h2(c) + 1 == i + 1; });
-        if (result_.implicit_store) {
-          st.implicit.push_restriction(v, hash_id,
+    if (result_.implicit_store) {
+      const std::uint32_t hash_id = st.implicit.add_hash(pr.h2);
+      for (std::uint64_t i = 0; i + 1 < b; ++i) {
+        for (const NodeId l : bin_local[i]) {
+          st.implicit.push_restriction(inst.orig[l], hash_id,
                                        static_cast<std::uint32_t>(i + 1));
         }
       }

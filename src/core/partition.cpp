@@ -41,7 +41,6 @@ PartitionResult partition(const Instance& inst, const PaletteSet& palettes,
   }
 
   Classification cls = engine.evaluate(sel.seed);
-  // Only h2 outlives the call: the driver restricts palettes with it.
   KWiseHash h2(sel.seed.word_range(c, c), b - 1);
 
   if (model != nullptr && costs != nullptr) {
@@ -61,9 +60,16 @@ PartitionResult partition(const Instance& inst, const PaletteSet& palettes,
                         "partition-route", *costs);
   }
 
-  PartitionResult out{b, std::move(cls), std::move(sel), std::move(h2),
-                      next_ell(inst.ell, params)};
-  return out;
+  // h2's bins were computed per distinct color by the last evaluate(); the
+  // driver restricts palettes by looking them up.
+  auto [index, color_bin] = std::move(engine).release_color_bins();
+  return PartitionResult{b,
+                         std::move(cls),
+                         std::move(sel),
+                         std::move(h2),
+                         next_ell(inst.ell, params),
+                         std::move(index),
+                         std::move(color_bin)};
 }
 
 }  // namespace detcol

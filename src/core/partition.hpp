@@ -3,8 +3,8 @@
 // partition() selects hash functions h1 (nodes -> b bins) and h2 (colors ->
 // b-1 bins) deterministically, so that there are no bad bins and the bad-node
 // subgraph G0 is O(n) words (Corollary 3.10). It returns the node assignment
-// plus the chosen h2, which the ColorReduce driver uses to restrict palettes
-// of the color bins.
+// plus the chosen h2 and its bin for every palette color, which the
+// ColorReduce driver uses to restrict palettes of the color bins.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +25,13 @@ struct PartitionResult {
   std::uint64_t num_bins = 0;  // b; color bins are 1..b-1, last bin is b
   Classification cls;          // classification under the chosen seed
   SeedSelectResult seed;       // chosen seed + selection telemetry
-  KWiseHash h2;                // color hash (range b-1) for palette restriction
+  KWiseHash h2;                // color hash (range b-1), chosen seed
   double ell_next = 0.0;       // ell' for the recursive calls
+  // The palette restriction's inputs, from the seed engine: the instance's
+  // palettes over their color universe, and per universe color its bin
+  // h2(c)+1 (see PaletteSet::restrict_to_bin).
+  PaletteIndex palettes;
+  std::vector<std::uint32_t> color_bin;
 };
 
 /// Runs seed selection for Partition(G, ell) on `inst` and returns the

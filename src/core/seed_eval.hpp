@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/classify.hpp"
@@ -64,6 +65,13 @@ class SeedEvalEngine {
 
   std::uint64_t num_bins() const { return b_; }
   std::size_t num_distinct_colors() const { return index_.num_colors(); }
+
+  /// Moves out the palette index and, per index color, its h2 bin (1..b-1)
+  /// under the last evaluated seed — what the driver restricts the color
+  /// bins' palettes with (PaletteSet::restrict_to_bin). Consumes the engine.
+  std::pair<PaletteIndex, std::vector<std::uint32_t>> release_color_bins() && {
+    return {std::move(index_), std::move(cbin_)};
+  }
 
  private:
   const Instance& inst_;

@@ -85,6 +85,66 @@ bool greedy_color(const Graph& g, const PaletteSet& palettes,
   return true;
 }
 
+namespace {
+
+/// Relaxed atomic read of a color slot a sibling branch may be writing. The
+/// slot itself is never const; atomic_ref just requires a mutable referent.
+Color load_color(const Coloring& coloring, NodeId u) {
+  return std::atomic_ref<Color>(const_cast<Color&>(coloring.color[u]))
+      .load(std::memory_order_relaxed);
+}
+
+}  // namespace
+
+std::uint64_t remove_neighbor_colors(
+    const Graph& g, const Coloring& coloring, std::span<const NodeId> nodes,
+    PaletteSet& palettes, ExecContext exec,
+    FunctionRef<void(NodeId, Color)> on_removed) {
+  const auto sum = [](std::uint64_t a, std::uint64_t b) { return a + b; };
+  if (palettes.shared()) {
+    // The serial update materialized on its first removal only; keep that
+    // (a set nobody removes from stays shared).
+    const std::uint64_t hits = parallel_reduce_shards(
+        exec, nodes.size(), std::uint64_t{0},
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            for (const NodeId u : g.neighbors(nodes[i])) {
+              const Color cu = load_color(coloring, u);
+              if (cu != Coloring::kUncolored &&
+                  palettes.contains(nodes[i], cu)) {
+                return std::uint64_t{1};
+              }
+            }
+          }
+          return std::uint64_t{0};
+        },
+        sum);
+    if (hits == 0) return 0;
+    palettes.materialize();
+  }
+  return parallel_reduce_shards(
+      exec, nodes.size(), std::uint64_t{0},
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        std::uint64_t removed = 0;
+        std::vector<Color> used;
+        for (std::size_t i = begin; i < end; ++i) {
+          const NodeId v = nodes[i];
+          used.clear();
+          for (const NodeId u : g.neighbors(v)) {
+            const Color cu = load_color(coloring, u);
+            if (cu != Coloring::kUncolored) used.push_back(cu);
+          }
+          if (used.empty()) continue;
+          std::sort(used.begin(), used.end());
+          used.erase(std::unique(used.begin(), used.end()), used.end());
+          removed += palettes.remove_colors(v, used);
+          for (const Color c : used) on_removed(v, c);
+        }
+        return removed;
+      },
+      sum);
+}
+
 bool greedy_color_all(const Graph& g, const PaletteSet& palettes,
                       Coloring& coloring) {
   std::vector<NodeId> order(g.num_nodes());

@@ -6,8 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "exec/exec.hpp"
 #include "graph/graph.hpp"
 #include "graph/palette.hpp"
+#include "util/function_ref.hpp"
 
 namespace detcol {
 
@@ -48,6 +50,24 @@ VerifyResult verify_proper_partial(const Graph& g, const Coloring& coloring);
 /// Deterministic in `order`; O(sum of palette sizes + m log Δ).
 bool greedy_color(const Graph& g, const PaletteSet& palettes,
                   std::span<const NodeId> order, Coloring& coloring);
+
+/// The drivers' "update color palettes" step: drop from the palette of
+/// every node in `nodes` (original ids) each color an already-colored
+/// neighbor in `g` holds, calling on_removed(v, c) for every removed color
+/// from the shard that owns v (calls for distinct nodes may run
+/// concurrently). Returns the number of removals — per node, the distinct
+/// neighbor colors its palette held. Neighbor colors are read like
+/// greedy_color reads them (a sibling branch may be committing its own
+/// colors meanwhile); since such a color is never in these palettes, the
+/// count does not depend on the schedule.
+///
+/// One pass per node (sort the neighbor colors, one merge over the sorted
+/// palette), sharded over `nodes`. A shared-uniform set is materialized
+/// first, serially, and only when some removal will happen.
+std::uint64_t remove_neighbor_colors(
+    const Graph& g, const Coloring& coloring, std::span<const NodeId> nodes,
+    PaletteSet& palettes, ExecContext exec,
+    FunctionRef<void(NodeId, Color)> on_removed);
 
 /// Degree-descending greedy over the whole graph; the classic centralized
 /// baseline. Always succeeds when every palette is larger than the degree.

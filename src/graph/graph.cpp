@@ -60,81 +60,57 @@ std::string_view MappedCsr::file_bytes() const { return file_->bytes(); }
 const std::string& MappedCsr::path() const { return file_->path(); }
 
 // ---------------------------------------------------------------------------
-// Graph: copy/move rebinding.
+// Graph: moves and builders.
 // ---------------------------------------------------------------------------
-
-void Graph::rebind_owned() {
-  offsets_p_ = offsets_.data();
-  adj_p_ = adj_.data();
-}
-
-Graph::Graph(const Graph& other)
-    : offsets_(other.offsets_),
-      adj_(other.adj_),
-      mapped_(other.mapped_),
-      offsets_p_(other.offsets_p_),
-      adj_p_(other.adj_p_),
-      n_(other.n_),
-      num_arcs_(other.num_arcs_),
-      max_degree_(other.max_degree_) {
-  if (!mapped_) rebind_owned();
-}
-
-Graph& Graph::operator=(const Graph& other) {
-  if (this == &other) return *this;
-  offsets_ = other.offsets_;
-  adj_ = other.adj_;
-  mapped_ = other.mapped_;
-  offsets_p_ = other.offsets_p_;
-  adj_p_ = other.adj_p_;
-  n_ = other.n_;
-  num_arcs_ = other.num_arcs_;
-  max_degree_ = other.max_degree_;
-  if (!mapped_) rebind_owned();
-  return *this;
-}
 
 Graph::Graph(Graph&& other) noexcept
-    : offsets_(std::move(other.offsets_)),
-      adj_(std::move(other.adj_)),
+    : owned_(std::move(other.owned_)),
       mapped_(std::move(other.mapped_)),
-      offsets_p_(other.offsets_p_),
-      adj_p_(other.adj_p_),
-      n_(other.n_),
-      num_arcs_(other.num_arcs_),
-      max_degree_(other.max_degree_) {
-  if (!mapped_) rebind_owned();
-  other.mapped_.reset();
-  other.offsets_p_ = nullptr;
-  other.adj_p_ = nullptr;
-  other.n_ = 0;
-  other.num_arcs_ = 0;
-  other.max_degree_ = 0;
-}
+      offsets_p_(std::exchange(other.offsets_p_, nullptr)),
+      adj_p_(std::exchange(other.adj_p_, nullptr)),
+      n_(std::exchange(other.n_, 0)),
+      num_arcs_(std::exchange(other.num_arcs_, 0)),
+      max_degree_(std::exchange(other.max_degree_, 0)) {}
 
 Graph& Graph::operator=(Graph&& other) noexcept {
-  if (this == &other) return *this;
-  offsets_ = std::move(other.offsets_);
-  adj_ = std::move(other.adj_);
-  mapped_ = std::move(other.mapped_);
-  offsets_p_ = other.offsets_p_;
-  adj_p_ = other.adj_p_;
-  n_ = other.n_;
-  num_arcs_ = other.num_arcs_;
-  max_degree_ = other.max_degree_;
-  if (!mapped_) rebind_owned();
-  other.mapped_.reset();
-  other.offsets_p_ = nullptr;
-  other.adj_p_ = nullptr;
-  other.n_ = 0;
-  other.num_arcs_ = 0;
-  other.max_degree_ = 0;
+  if (this != &other) {
+    owned_ = std::move(other.owned_);
+    mapped_ = std::move(other.mapped_);
+    offsets_p_ = std::exchange(other.offsets_p_, nullptr);
+    adj_p_ = std::exchange(other.adj_p_, nullptr);
+    n_ = std::exchange(other.n_, 0);
+    num_arcs_ = std::exchange(other.num_arcs_, 0);
+    max_degree_ = std::exchange(other.max_degree_, 0);
+  }
   return *this;
 }
 
-// ---------------------------------------------------------------------------
-// Builders.
-// ---------------------------------------------------------------------------
+Graph Graph::adopt(std::vector<std::size_t> offsets, std::vector<NodeId> adj,
+                   NodeId max_degree) {
+  auto csr = std::make_shared<OwnedCsr>();
+  csr->offsets = std::move(offsets);
+  csr->adj = std::move(adj);
+  Graph g;
+  g.offsets_p_ = csr->offsets.data();
+  g.adj_p_ = csr->adj.data();
+  g.n_ = static_cast<NodeId>(csr->offsets.size() - 1);
+  g.num_arcs_ = csr->adj.size();
+  g.max_degree_ = max_degree;
+  g.owned_ = std::move(csr);
+  return g;
+}
+
+namespace {
+
+NodeId max_gap(const std::vector<std::size_t>& offsets) {
+  std::size_t m = 0;
+  for (std::size_t v = 0; v + 1 < offsets.size(); ++v) {
+    m = std::max(m, offsets[v + 1] - offsets[v]);
+  }
+  return static_cast<NodeId>(m);
+}
+
+}  // namespace
 
 Graph Graph::from_edges(NodeId num_nodes, std::span<const Edge> edges) {
   std::vector<Edge> norm;
@@ -148,32 +124,27 @@ Graph Graph::from_edges(NodeId num_nodes, std::span<const Edge> edges) {
   std::sort(norm.begin(), norm.end());
   norm.erase(std::unique(norm.begin(), norm.end()), norm.end());
 
-  Graph g;
-  g.offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
+  std::vector<std::size_t> offsets(static_cast<std::size_t>(num_nodes) + 1, 0);
   for (const auto& [u, v] : norm) {
-    ++g.offsets_[u + 1];
-    ++g.offsets_[v + 1];
+    ++offsets[u + 1];
+    ++offsets[v + 1];
   }
-  for (std::size_t i = 1; i < g.offsets_.size(); ++i) {
-    g.offsets_[i] += g.offsets_[i - 1];
+  for (std::size_t i = 1; i < offsets.size(); ++i) {
+    offsets[i] += offsets[i - 1];
   }
-  g.adj_.resize(norm.size() * 2);
-  g.n_ = num_nodes;
-  g.num_arcs_ = g.adj_.size();
-  g.rebind_owned();
-  std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  std::vector<NodeId> adj(norm.size() * 2);
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
   for (const auto& [u, v] : norm) {
-    g.adj_[cursor[u]++] = v;
-    g.adj_[cursor[v]++] = u;
+    adj[cursor[u]++] = v;
+    adj[cursor[v]++] = u;
   }
   // Adjacency lists come out sorted because the edge list was sorted on the
   // first endpoint and, within a node, insertion order follows the second.
+  const NodeId max_degree = max_gap(offsets);
+  Graph g = adopt(std::move(offsets), std::move(adj), max_degree);
   for (NodeId v = 0; v < num_nodes; ++v) {
     auto nb = g.neighbors(v);
     DC_ASSERT(std::is_sorted(nb.begin(), nb.end()));
-  }
-  for (NodeId v = 0; v < num_nodes; ++v) {
-    g.max_degree_ = std::max(g.max_degree_, g.degree(v));
   }
   return g;
 }
@@ -190,12 +161,8 @@ Graph Graph::from_csr(std::vector<std::size_t> offsets,
     DC_CHECK(offsets[v] <= offsets[v + 1], "CSR offsets not monotone at node ",
              v);
   }
-  Graph g;
-  g.offsets_ = std::move(offsets);
-  g.adj_ = std::move(adj);
-  g.n_ = n;
-  g.num_arcs_ = g.adj_.size();
-  g.rebind_owned();
+  const NodeId max_degree = max_gap(offsets);
+  Graph g = adopt(std::move(offsets), std::move(adj), max_degree);
   for (NodeId v = 0; v < n; ++v) {
     const auto nb = g.neighbors(v);
     for (std::size_t i = 0; i < nb.size(); ++i) {
@@ -213,9 +180,6 @@ Graph Graph::from_csr(std::vector<std::size_t> offsets,
       DC_CHECK(g.has_edge(w, v), "CSR adjacency is asymmetric: node ", v,
                " lists ", w, " but not vice versa");
     }
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    g.max_degree_ = std::max(g.max_degree_, g.degree(v));
   }
   return g;
 }
@@ -255,30 +219,56 @@ std::vector<Edge> Graph::edge_list() const {
   return out;
 }
 
-Graph induced_subgraph(const Graph& g, std::span<const NodeId> nodes) {
-  // Map original -> local. A dense scratch map keeps this O(n + m_sub).
+Graph induced_subgraph(const Graph& g, std::span<const NodeId> nodes,
+                       ExecContext exec) {
+  // O(n + Σ deg(nodes)) when `nodes` is ascending, plus a sort of each
+  // node's kept neighbors otherwise (graph.hpp). First the original -> local
+  // id map over the whole parent.
   static constexpr NodeId kAbsent = ~NodeId{0};
-  std::vector<NodeId> local(g.num_nodes(), kAbsent);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
+  const NodeId n = g.num_nodes();
+  const std::size_t k = nodes.size();
+  std::vector<NodeId> local(n, kAbsent);
+  for (std::size_t i = 0; i < k; ++i) {
+    DC_CHECK(nodes[i] < n, "induced node ", nodes[i], " out of range (n=", n,
+             ")");
     DC_CHECK(local[nodes[i]] == kAbsent, "duplicate node in induced set");
     local[nodes[i]] = static_cast<NodeId>(i);
   }
-  std::vector<Edge> edges;
-  // Upper bound: the parent-graph degree sum of the induced nodes counts
-  // every induced edge twice (plus edges leaving the set, so this can
-  // over-reserve when the set keeps few of its neighbors).
-  std::size_t deg_sum = 0;
-  for (const NodeId v : nodes) deg_sum += g.degree(v);
-  edges.reserve(deg_sum / 2);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (const NodeId w : g.neighbors(nodes[i])) {
-      const NodeId lw = local[w];
-      if (lw != kAbsent && static_cast<NodeId>(i) < lw) {
-        edges.emplace_back(static_cast<NodeId>(i), lw);
+  const bool ascending = std::is_sorted(nodes.begin(), nodes.end());
+
+  // Kept degrees (offsets[i + 1] holds node i's until the prefix sum).
+  std::vector<std::size_t> offsets(k + 1, 0);
+  const NodeId max_degree = parallel_reduce_shards(
+      exec, k, NodeId{0},
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        NodeId max_d = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          NodeId d = 0;
+          for (const NodeId w : g.neighbors(nodes[i])) {
+            d += local[w] != kAbsent;
+          }
+          offsets[i + 1] = d;
+          max_d = std::max(max_d, d);
+        }
+        return max_d;
+      },
+      [](NodeId a, NodeId b) { return std::max(a, b); });
+  for (std::size_t i = 0; i < k; ++i) offsets[i + 1] += offsets[i];
+
+  std::vector<NodeId> adj(offsets[k]);
+  parallel_for_shards(exec, k, [&](std::size_t, std::size_t begin,
+                                   std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      NodeId* const first = adj.data() + offsets[i];
+      NodeId* out = first;
+      for (const NodeId w : g.neighbors(nodes[i])) {
+        if (local[w] != kAbsent) *out++ = local[w];
       }
+      // A monotone relabel keeps the parent's sorted order.
+      if (!ascending) std::sort(first, out);
     }
-  }
-  return Graph::from_edges(static_cast<NodeId>(nodes.size()), edges);
+  });
+  return Graph::adopt(std::move(offsets), std::move(adj), max_degree);
 }
 
 }  // namespace detcol

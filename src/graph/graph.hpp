@@ -13,6 +13,9 @@
 //             copy shares the mapping (shared_ptr), and the file stays
 //             mapped until the last copy dies — that ordering is what makes
 //             cache eviction under live handles safe in the serving layer.
+//
+// The CSR is immutable either way, so copies of an owned Graph share its
+// arrays just as copies of a mapped one share the mapping: a copy is O(1).
 #pragma once
 
 #include <atomic>
@@ -23,6 +26,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "exec/exec.hpp"
 
 namespace detcol {
 
@@ -82,10 +87,10 @@ class MappedCsr {
 class Graph {
  public:
   Graph() = default;
-  // Copies rebind the accessor pointers at the copied (or shared) storage;
-  // the defaults would leave them dangling at the source's vectors.
-  Graph(const Graph& other);
-  Graph& operator=(const Graph& other);
+  // Copies share the storage (see file comment); moves leave the source an
+  // empty graph.
+  Graph(const Graph& other) = default;
+  Graph& operator=(const Graph& other) = default;
   Graph(Graph&& other) noexcept;
   Graph& operator=(Graph&& other) noexcept;
   ~Graph() = default;
@@ -154,13 +159,21 @@ class Graph {
   }
 
  private:
-  /// Point the accessor pointers at this object's own vectors.
-  void rebind_owned();
+  friend Graph induced_subgraph(const Graph& g, std::span<const NodeId> nodes,
+                                ExecContext exec);
 
-  // Owned storage (empty when mapped_ is set).
-  std::vector<std::size_t> offsets_;  // size n+1
-  std::vector<NodeId> adj_;           // both directions
-  // Mapped storage (shared across copies; null when owned).
+  /// Owned storage, shared by every copy (the arrays never change).
+  struct OwnedCsr {
+    std::vector<std::size_t> offsets;  // size n+1
+    std::vector<NodeId> adj;           // both directions
+  };
+
+  /// Take ownership of CSR arrays the caller has built or validated.
+  static Graph adopt(std::vector<std::size_t> offsets,
+                     std::vector<NodeId> adj, NodeId max_degree);
+
+  // Exactly one of the two is set on a non-empty graph.
+  std::shared_ptr<const OwnedCsr> owned_;
   std::shared_ptr<const MappedCsr> mapped_;
   // Accessor pointers into whichever storage is active. static_asserts in
   // graph.cpp pin the std::size_t / on-disk u64 layout equivalence the
@@ -174,8 +187,17 @@ class Graph {
 
 /// Induced subgraph on `nodes` (original node ids, need not be sorted).
 /// Local node i corresponds to nodes[i]; returns the local graph. The
-/// original ids are exactly `nodes` (caller keeps the mapping). O(n + m_sub);
-/// duplicate entries in `nodes` are rejected (DC_CHECK).
-Graph induced_subgraph(const Graph& g, std::span<const NodeId> nodes);
+/// original ids are exactly `nodes` (caller keeps the mapping). Duplicate or
+/// out-of-range entries in `nodes` are rejected (DC_CHECK).
+///
+/// Builds the child CSR directly, with no edge list: a parent-sized
+/// local-id map, a kept-degree count per listed node, a prefix sum and a
+/// fill. Count and fill shard over `exec` (the result is identical for every
+/// thread count). When `nodes` is ascending — both drivers list children
+/// that way — the relabel is monotone and the parent's sorted adjacency
+/// stays sorted, so the cost is O(n + Σ deg(nodes)); any other order adds a
+/// per-node sort of the kept neighbors.
+Graph induced_subgraph(const Graph& g, std::span<const NodeId> nodes,
+                       ExecContext exec = {});
 
 }  // namespace detcol

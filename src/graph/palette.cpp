@@ -114,6 +114,51 @@ bool PaletteSet::remove_color(NodeId v, Color c) {
   return true;
 }
 
+void PaletteSet::restrict_to_bin(std::span<const NodeId> positions,
+                                 std::span<const NodeId> orig,
+                                 const PaletteIndex& index,
+                                 std::span<const std::uint32_t> color_bin,
+                                 std::uint32_t bin, ExecContext exec) {
+  if (positions.empty()) return;
+  materialize();
+  parallel_for_shards(exec, positions.size(), [&](std::size_t,
+                                                  std::size_t begin,
+                                                  std::size_t end) {
+    for (std::size_t j = begin; j < end; ++j) {
+      const std::size_t i = positions[j];
+      const bool full = index.full(i);
+      const auto slots = index.slots(i);
+      auto& p = pal_[orig[i]];
+      DC_ASSERT(p.size() == (full ? index.num_colors() : slots.size()));
+      // p[t] is universe color t when full, else universe color slots[t].
+      std::size_t kept = 0;
+      for (std::size_t t = 0; t < p.size(); ++t) {
+        if (color_bin[full ? t : slots[t]] == bin) p[kept++] = p[t];
+      }
+      p.resize(kept);
+    }
+  });
+}
+
+std::size_t PaletteSet::remove_colors(NodeId v, std::vector<Color>& colors) {
+  DC_ASSERT(!shared_);
+  auto& p = pal_[v];
+  std::size_t kept = 0, removed = 0, j = 0;
+  for (std::size_t t = 0; t < p.size(); ++t) {
+    const Color c = p[t];
+    while (j < colors.size() && colors[j] < c) ++j;
+    if (j < colors.size() && colors[j] == c) {
+      colors[removed++] = c;  // removed <= j: overwrites a consumed entry
+      ++j;
+    } else {
+      p[kept++] = c;
+    }
+  }
+  p.resize(kept);
+  colors.resize(removed);
+  return removed;
+}
+
 void PaletteSet::truncate(NodeId v, std::size_t k) {
   if (shared_ && shared_->size() <= k) return;  // no-op, stay shared
   materialize();

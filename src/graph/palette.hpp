@@ -18,7 +18,8 @@
 //                 mutating pipelines genuinely need per-node palettes, so
 //                 finer granularity would only complicate the hot accessors.
 // PaletteIndex (below) is the seed engines' read-only view of a node list's
-// palettes over their distinct colors.
+// palettes over their distinct colors; the drivers restrict palettes to a
+// color bin by lookup in it (restrict_to_bin).
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,8 @@
 #include "util/function_ref.hpp"
 
 namespace detcol {
+
+class PaletteIndex;
 
 class PaletteSet {
  public:
@@ -89,11 +92,34 @@ class PaletteSet {
 
   bool contains(NodeId v, Color c) const;
 
- private:
+  /// True while every node shares one uniform palette (file comment).
+  bool shared() const { return shared_ != nullptr; }
+
   /// Leave shared-uniform mode: give every node its own copy. Called by
-  /// every mutator; no-op in per-node mode.
+  /// every serial mutator; no-op in per-node mode. The sharded mutators
+  /// below must find the set per-node, because materializing inside a
+  /// shard would race.
   void materialize();
 
+  /// Restrict node orig[i], for every i in `positions`, to one bin of a
+  /// color partition: keep the colors whose slot k in `index` has
+  /// color_bin[k] == bin. `index` must index the current palettes of `orig`
+  /// (a seed engine's, with color_bin its h2 bins under the chosen seed).
+  /// One table lookup per color, no hashing; shards over `positions`. A
+  /// shared-uniform set is materialized first, serially, unless `positions`
+  /// is empty. Preserves sorted order.
+  void restrict_to_bin(std::span<const NodeId> positions,
+                       std::span<const NodeId> orig, const PaletteIndex& index,
+                       std::span<const std::uint32_t> color_bin,
+                       std::uint32_t bin, ExecContext exec = {});
+
+  /// Remove from v's palette, in one merge pass, every color of `colors`
+  /// (ascending, duplicate-free). `colors` keeps only the colors that were
+  /// present; their number is returned. Per-node mode only; calls for
+  /// distinct nodes may run concurrently.
+  std::size_t remove_colors(NodeId v, std::vector<Color>& colors);
+
+ private:
   std::vector<std::vector<Color>> pal_;  // empty while shared_ is set
   // Shared-uniform mode: every node's palette is *shared_ ({0..k-1},
   // immutable — copies of the set alias it safely).

@@ -158,15 +158,8 @@ class LsDriver {
   /// schedule-independent quantity (class comment: a concurrently committed
   /// color is never present in this branch's palettes).
   void update_palettes(std::span<const NodeId> nodes, LsRunState& st) {
-    std::uint64_t touched = 0;
-    for (const NodeId v : nodes) {
-      for (const NodeId u : g_.neighbors(v)) {
-        const Color cu = std::atomic_ref<Color>(result_.coloring.color[u])
-                             .load(std::memory_order_relaxed);
-        if (cu == Coloring::kUncolored) continue;
-        if (pal_.remove_color(v, cu)) ++touched;
-      }
-    }
+    const std::uint64_t touched = remove_neighbor_colors(
+        g_, result_.coloring, nodes, pal_, p_.exec, [](NodeId, Color) {});
     if (touched > 0) {
       mpc_model_.route(touched,
                        std::min(touched, mpc_model_.local_space()),
@@ -259,27 +252,29 @@ class LsDriver {
       st.diverted_violators += bad;
     }
 
-    // Assign: violators join the low-degree set G0.
-    std::vector<std::vector<NodeId>> bin_local(b);
+    // Assign: violators join the low-degree set G0. Bins list `high`-local
+    // ids — the engine's index positions — so the children are induced from
+    // `high` (the same subgraphs as from `inst`: high_local is ascending).
+    std::vector<std::vector<NodeId>> bin_high(b);
     std::vector<NodeId> g0_local = low_local;
     for (NodeId v = 0; v < high.n(); ++v) {
       if (good[v] != 0) {
-        bin_local[bin[v] - 1].push_back(high_local[v]);
+        bin_high[bin[v] - 1].push_back(v);
       } else {
         g0_local.push_back(high_local[v]);
       }
     }
     mpc_model_.sort(inst.graph.size_words(), "partition-route", st.mpc);
 
-    // Restrict palettes of color bins. This happens *before* the sibling
-    // group is spawned: it is what makes the group's palettes pairwise
-    // disjoint, and with them every cross-branch interaction harmless.
-    const KWiseHash h2(sel.seed.word_range(c, c), b - 1);
+    // Restrict palettes of color bins, by lookup in the bins the engine
+    // computed per distinct color for the chosen seed. This happens
+    // *before* the sibling group is spawned: it is what makes the group's
+    // palettes pairwise disjoint, and with them every cross-branch
+    // interaction harmless.
     for (std::uint64_t i = 0; i + 1 < b; ++i) {
-      for (const NodeId l : bin_local[i]) {
-        const NodeId v = inst.orig[l];
-        pal_.restrict(v, [&](Color col) { return h2(col) + 1 == i + 1; });
-      }
+      pal_.restrict_to_bin(bin_high[i], high.orig, engine.palette_index(),
+                           engine.color_bins(),
+                           static_cast<std::uint32_t>(i + 1), p_.exec);
     }
 
     // Recurse on color bins in parallel (disjoint palettes): dispatched as
@@ -293,7 +288,7 @@ class LsDriver {
     TaskGroup::fold(
         par ? p_.exec.pool() : nullptr, groups,
         [&](std::size_t i) {
-          LsInstance child = make_child(inst, bin_local[i]);
+          LsInstance child = make_child(high, bin_high[i]);
           return recurse(child, depth + 1, sub_seed(salt, 100 + i));
         },
         [&](std::size_t, LsRunState&& rs) {
@@ -304,7 +299,7 @@ class LsDriver {
     // Last bin: update palettes, recurse. Runs strictly after the group
     // join — exactly the model's schedule, where G_b's palette update sees
     // every color the parallel phase committed.
-    LsInstance last = make_child(inst, bin_local[b - 1]);
+    LsInstance last = make_child(high, bin_high[b - 1]);
     update_palettes(last.orig, st);
     st.merge_sequential(recurse(last, depth + 1, sub_seed(salt, 999)));
 
@@ -318,7 +313,7 @@ class LsDriver {
   LsInstance make_child(const LsInstance& inst,
                         std::span<const NodeId> local_nodes) const {
     LsInstance child;
-    child.graph = induced_subgraph(inst.graph, local_nodes);
+    child.graph = induced_subgraph(inst.graph, local_nodes, p_.exec);
     child.orig.reserve(local_nodes.size());
     for (const NodeId l : local_nodes) child.orig.push_back(inst.orig[l]);
     return child;

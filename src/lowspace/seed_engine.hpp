@@ -85,6 +85,12 @@ class LowSpaceSeedEngine {
   std::uint64_t num_bins() const { return b_; }
   std::size_t num_distinct_colors() const { return index_.num_colors(); }
 
+  /// The palette index, and per index color its h2 bin (1..b-1) under the
+  /// last violations() call: what the driver restricts the color bins'
+  /// palettes with (PaletteSet::restrict_to_bin).
+  const PaletteIndex& palette_index() const { return index_; }
+  std::span<const std::uint32_t> color_bins() const { return cbin_; }
+
  private:
   const Graph& g_;
   std::uint64_t b_;

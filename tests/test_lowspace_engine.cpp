@@ -408,6 +408,47 @@ TEST(ParallelInvariance, LowSpaceBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ParallelInvariance, LowSpaceMultiBinRestriction) {
+  // delta = 0.2 gives b = 3 at n = 900, so palettes split across two
+  // concurrently recursing color bins (the goldens above all have b = 2,
+  // where every color lands in the one color bin); a lower low-degree
+  // exponent makes every node partition. The (deg+1)-list case diverts
+  // violators into G0. Fingerprints were captured from the driver before
+  // the restriction became a table lookup.
+  const Graph g = gen_random_regular(900, 64, 9);
+  LowSpaceParams base_params;
+  base_params.delta = 0.2;
+  base_params.low_deg_coeff = 2.0;
+  struct Case {
+    PaletteSet pal;
+    std::uint64_t want_colorhash;
+    std::uint64_t want_rounds;
+    std::uint64_t want_partitions;
+  };
+  const Case cases[] = {
+      {PaletteSet::delta_plus_one(g), 3012226268473367904ULL, 1353, 4},
+      {PaletteSet::deg_plus_one_lists(g, 1u << 20, 7),
+       4114526900624743542ULL, 1068, 5}};
+  for (const Case& cs : cases) {
+    const auto base = low_space_color(g, cs.pal, base_params);
+    ASSERT_TRUE(verify_coloring(g, cs.pal, base.coloring).ok);
+    EXPECT_EQ(hash_colors(base.coloring.color), cs.want_colorhash);
+    EXPECT_EQ(base.ledger.total_rounds(), cs.want_rounds);
+    EXPECT_EQ(base.num_partitions, cs.want_partitions);
+    for (const unsigned t : kThreadMatrix) {
+      ThreadPool pool(t);
+      LowSpaceParams params = base_params;
+      params.exec = ExecContext(pool);
+      const auto r = low_space_color(g, cs.pal, params);
+      EXPECT_EQ(r.coloring.color, base.coloring.color) << t << " threads";
+      EXPECT_EQ(ledger_to_json(r.ledger), ledger_to_json(base.ledger))
+          << t << " threads";
+      EXPECT_EQ(mpc_costs_to_json(r.mpc), mpc_costs_to_json(base.mpc))
+          << t << " threads";
+    }
+  }
+}
+
 TEST(ParallelInvariance, MisBitIdenticalAcrossThreadCounts) {
   const Graph g = gen_power_law(400, 2.6, 6.0, 11);
   const PaletteSet pal = PaletteSet::deg_plus_one_lists(g, 1u << 16, 13);

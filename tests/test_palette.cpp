@@ -5,9 +5,12 @@
 #include <numeric>
 #include <set>
 
+#include "derand/seedbits.hpp"
 #include "exec/exec.hpp"
+#include "graph/coloring.hpp"
 #include "graph/generators.hpp"
 #include "graph/palette.hpp"
+#include "hashing/kwise.hpp"
 #include "util/check.hpp"
 
 namespace detcol {
@@ -231,6 +234,169 @@ TEST(PaletteIndex, AcceptsEveryColorValue) {
   const PaletteIndex index(nodes, p);
   EXPECT_EQ(index.colors().front(), 0u);
   EXPECT_EQ(index.colors().back(), kMax);
+}
+
+// --- The drivers' sharded palette passes ---------------------------------
+//
+// restrict_to_bin and remove_neighbor_colors replace per-node serial loops
+// (a KWiseHash call per (node, color) pair; one lower_bound + erase per
+// colored neighbor). Each must equal that serial loop on every palette kind
+// and at every thread count; the instances span several 2048-node shards.
+
+constexpr unsigned kThreadMatrix[] = {1, 2, 4, 7};
+
+void expect_same_palettes(const PaletteSet& got, const PaletteSet& want) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  for (NodeId v = 0; v < want.num_nodes(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(got.palette(v), want.palette(v)))
+        << "node " << v;
+  }
+}
+
+/// Shared-uniform, (deg+1)-list and mixed full/partial palettes of `g`.
+std::vector<PaletteSet> palette_kinds(const Graph& g) {
+  PaletteSet mixed = PaletteSet::delta_plus_one(g);
+  for (NodeId v = 0; v < g.num_nodes(); v += 5) {
+    mixed.remove_color(v, v % (Color{g.max_degree()} + 1));
+  }
+  return {PaletteSet::delta_plus_one(g),
+          PaletteSet::deg_plus_one_lists(g, 5000, 3), std::move(mixed)};
+}
+
+TEST(PaletteSet, RestrictToBinMatchesHashRestriction) {
+  const Graph g = gen_gnp(9000, 0.002, 11);
+  // A subinstance in descending order: position i is node orig[i].
+  std::vector<NodeId> orig;
+  for (NodeId v = g.num_nodes(); v-- > 0;) {
+    if (v % 3 != 0) orig.push_back(v);
+  }
+  constexpr std::uint64_t kColorBins = 3;
+  const KWiseHash h2(SeedBits::expand(4 * 64, 0xB125, 1).word_range(0, 4),
+                     kColorBins);
+  // Positions per bin 1..kColorBins; every fourth position stays unbinned.
+  std::vector<std::vector<NodeId>> positions(kColorBins);
+  for (NodeId i = 0; i < orig.size(); ++i) {
+    if (i % 4 != 3) positions[(i / 4 + i) % kColorBins].push_back(i);
+  }
+  for (const PaletteSet& initial : palette_kinds(g)) {
+    PaletteSet want = initial;
+    for (std::uint64_t bin = 1; bin <= kColorBins; ++bin) {
+      for (const NodeId i : positions[bin - 1]) {
+        want.restrict(orig[i], [&](Color c) { return h2(c) + 1 == bin; });
+      }
+    }
+    const PaletteIndex index(orig, initial);
+    std::vector<std::uint32_t> color_bin;
+    for (const Color c : index.colors()) {
+      color_bin.push_back(static_cast<std::uint32_t>(h2(c) + 1));
+    }
+    const auto run = [&](ExecContext exec) {
+      PaletteSet got = initial;
+      for (std::uint32_t bin = 1; bin <= kColorBins; ++bin) {
+        got.restrict_to_bin(positions[bin - 1], orig, index, color_bin, bin,
+                            exec);
+      }
+      return got;
+    };
+    expect_same_palettes(run({}), want);
+    for (const unsigned t : kThreadMatrix) {
+      ThreadPool pool(t);
+      SCOPED_TRACE(::testing::Message() << t << " threads");
+      expect_same_palettes(run(ExecContext(pool)), want);
+    }
+  }
+  // Nothing to restrict leaves a shared-uniform set shared.
+  PaletteSet uniform = PaletteSet::delta_plus_one(g);
+  const PaletteIndex index(orig, uniform);
+  uniform.restrict_to_bin({}, orig, index,
+                          std::vector<std::uint32_t>(index.num_colors(), 1), 1);
+  EXPECT_TRUE(uniform.shared());
+}
+
+/// The serial update both drivers ran before: one remove_color per colored
+/// neighbor. Returns the number of removals that changed a palette.
+std::uint64_t serial_update(const Graph& g, const Coloring& coloring,
+                            std::span<const NodeId> nodes, PaletteSet& pal,
+                            std::vector<std::vector<Color>>& removed) {
+  std::uint64_t touched = 0;
+  for (const NodeId v : nodes) {
+    for (const NodeId u : g.neighbors(v)) {
+      const Color cu = coloring.color[u];
+      if (cu != Coloring::kUncolored && pal.remove_color(v, cu)) {
+        removed[v].push_back(cu);
+        ++touched;
+      }
+    }
+    std::sort(removed[v].begin(), removed[v].end());
+  }
+  return touched;
+}
+
+TEST(RemoveNeighborColors, MatchesSerialRemoval) {
+  const Graph g = gen_gnp(9000, 0.002, 12);
+  // Every third node is colored with a color its neighbors may hold,
+  // including 0 and values past every palette; the rest get updated.
+  Coloring coloring(g.num_nodes());
+  std::vector<NodeId> nodes;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (v % 3 == 0) {
+      coloring.color[v] = v % 7 == 0 ? Color{0} : (v * 2654435761u) % 6000;
+    } else {
+      nodes.push_back(v);
+    }
+  }
+  for (const PaletteSet& initial : palette_kinds(g)) {
+    PaletteSet want = initial;
+    std::vector<std::vector<Color>> want_removed(g.num_nodes());
+    const std::uint64_t want_touched =
+        serial_update(g, coloring, nodes, want, want_removed);
+    ASSERT_GT(want_touched, 0u);
+    const auto check = [&](ExecContext exec) {
+      PaletteSet got = initial;
+      std::vector<std::vector<Color>> removed(g.num_nodes());
+      EXPECT_EQ(remove_neighbor_colors(g, coloring, nodes, got, exec,
+                                       [&](NodeId v, Color c) {
+                                         removed[v].push_back(c);
+                                       }),
+                want_touched);
+      expect_same_palettes(got, want);
+      EXPECT_EQ(removed, want_removed);
+    };
+    check({});
+    for (const unsigned t : kThreadMatrix) {
+      ThreadPool pool(t);
+      SCOPED_TRACE(::testing::Message() << t << " threads");
+      check(ExecContext(pool));
+    }
+  }
+}
+
+TEST(RemoveNeighborColors, SharedSetStaysSharedWithoutRemovals) {
+  const Graph g = gen_gnp(9000, 0.002, 13);
+  const Color k = Color{g.max_degree()} + 1;
+  std::vector<NodeId> all(g.num_nodes());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  // Nobody colored, then colors outside {0..k-1} only: no palette changes.
+  Coloring coloring(g.num_nodes());
+  PaletteSet pal = PaletteSet::delta_plus_one(g);
+  ThreadPool pool(4);
+  const auto ignore = [](NodeId, Color) {};
+  EXPECT_EQ(remove_neighbor_colors(g, coloring, all, pal, ExecContext(pool),
+                                   ignore),
+            0u);
+  EXPECT_TRUE(pal.shared());
+  for (NodeId v = 0; v < g.num_nodes(); v += 2) coloring.color[v] = k + v;
+  EXPECT_EQ(remove_neighbor_colors(g, coloring, all, pal, ExecContext(pool),
+                                   ignore),
+            0u);
+  EXPECT_TRUE(pal.shared());
+  // One color inside the palette: the set materializes, once, serially.
+  coloring.color[0] = 1;
+  const std::uint64_t touched = remove_neighbor_colors(
+      g, coloring, all, pal, ExecContext(pool), ignore);
+  EXPECT_EQ(touched, g.degree(0));
+  EXPECT_FALSE(pal.shared());
+  for (const NodeId u : g.neighbors(0)) EXPECT_FALSE(pal.contains(u, 1));
 }
 
 }  // namespace

@@ -34,6 +34,28 @@ TEST(Partition, MeetsLemma39Targets) {
   EXPECT_GT(acc.ledger.total_rounds(), 0u);
 }
 
+TEST(Partition, ColorBinsAreTheChosenH2OverThePaletteUniverse) {
+  // The driver restricts palettes by lookup in these bins instead of
+  // evaluating h2 per (node, color) pair, so they must be exactly h2 + 1
+  // over the sorted distinct colors of the instance's palettes.
+  const Graph g = gen_gnp(800, 0.05, 14);
+  const Instance inst = make_instance(g, g.max_degree());
+  PartitionParams params;
+  params.min_bins = 4;  // three color bins (the default b = 2 has one)
+  for (const PaletteSet& pal :
+       {PaletteSet::delta_plus_one(g),
+        PaletteSet::deg_plus_one_lists(g, 1u << 16, 5)}) {
+    const auto pr = partition(inst, pal, 800, params, nullptr, nullptr, 3);
+    ASSERT_EQ(pr.num_bins, 4u);
+    const PaletteIndex want(inst.orig, pal);
+    ASSERT_EQ(pr.palettes.colors(), want.colors());
+    ASSERT_EQ(pr.color_bin.size(), want.num_colors());
+    for (std::size_t k = 0; k < want.num_colors(); ++k) {
+      EXPECT_EQ(pr.color_bin[k], pr.h2(want.colors()[k]) + 1) << "slot " << k;
+    }
+  }
+}
+
 TEST(Partition, GoodColorBinNodesAreRecursivelyColorable) {
   const Graph g = gen_random_regular(600, 32, 7);
   const Instance inst = make_instance(g, g.max_degree());

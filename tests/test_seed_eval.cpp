@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <optional>
 
@@ -448,6 +449,64 @@ TEST(ParallelInvariance, ForcedRecursionLedgersIdenticalAcrossThreadCounts) {
         << t << " threads";
     EXPECT_EQ(mpc_costs_to_json(r.mpc), mpc_costs_to_json(base.mpc))
         << t << " threads";
+  }
+}
+
+TEST(ParallelInvariance, ColorReduceShardedPassesAtScale) {
+  // n = 2^13: the root's and depth 1's child builds, palette restrictions
+  // and palette updates each span several 2048-node shards, so at 2+
+  // threads those shards really run concurrently (every case above fits in
+  // one shard). The (deg+1)-lists add 0, 2^64-2 and 2^64-1 to every list.
+  // With the default b = 2 every color lands in the one color bin; the
+  // min_bins = 3 case splits palettes across two concurrently recursing
+  // color bins, and its fingerprint was captured from the driver before
+  // the restriction became a table lookup.
+  const NodeId n = NodeId{1} << 13;
+  const Graph g = gen_gnp(n, 32.0 / n, 61);
+  constexpr Color kMax = std::numeric_limits<Color>::max();
+  std::vector<std::vector<Color>> lists(n);
+  const PaletteSet deg1 = PaletteSet::deg_plus_one_lists(g, 1u << 20, 9);
+  for (NodeId v = 0; v < n; ++v) {
+    const auto p = deg1.palette(v);
+    lists[v].assign(p.begin(), p.end());
+    for (const Color c : {Color{0}, kMax - 1, kMax}) {
+      if (!deg1.contains(v, c)) lists[v].push_back(c);
+    }
+  }
+  const PaletteSet extreme_lists(std::move(lists));
+  const PaletteSet delta1 = PaletteSet::delta_plus_one(g);
+  ColorReduceConfig three_bins;
+  three_bins.part.min_bins = 3;
+  struct Case {
+    const PaletteSet* pal;
+    ColorReduceConfig cfg;
+    std::uint64_t want_colorhash;  // 0 = not pinned
+    std::uint64_t want_rounds;
+  };
+  const Case cases[] = {{&delta1, {}, 0, 0},
+                        {&extreme_lists, {}, 0, 0},
+                        {&delta1, three_bins, 11618304161388377040ULL, 430}};
+  for (const Case& cs : cases) {
+    const auto base = color_reduce(g, *cs.pal, cs.cfg);
+    ASSERT_TRUE(verify_coloring(g, *cs.pal, base.coloring).ok);
+    ASSERT_GE(base.num_partitions, 3u);  // the root and both depth-1 calls
+    if (cs.want_colorhash != 0) {
+      EXPECT_EQ(coloring_hash(base.coloring), cs.want_colorhash);
+      EXPECT_EQ(base.ledger.total_rounds(), cs.want_rounds);
+    }
+    const std::string base_ledger = ledger_to_json(base.ledger);
+    const std::string base_stats = call_stats_to_json(base.root);
+    const std::string base_mpc = mpc_costs_to_json(base.mpc);
+    for (const unsigned t : kThreadMatrix) {
+      ThreadPool pool(t);
+      ColorReduceConfig cfg = cs.cfg;
+      cfg.exec = ExecContext(pool);
+      const auto r = color_reduce(g, *cs.pal, cfg);
+      EXPECT_EQ(r.coloring.color, base.coloring.color) << t << " threads";
+      EXPECT_EQ(ledger_to_json(r.ledger), base_ledger) << t << " threads";
+      EXPECT_EQ(call_stats_to_json(r.root), base_stats) << t << " threads";
+      EXPECT_EQ(mpc_costs_to_json(r.mpc), base_mpc) << t << " threads";
+    }
   }
 }
 
