@@ -1,6 +1,7 @@
 #include "cli/pipeline.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "baselines/greedy.hpp"
 #include "baselines/mis_coloring.hpp"
@@ -14,18 +15,38 @@
 
 namespace detcol::cli {
 
-bool pipeline_known(const std::string& algo) {
-  return algo == "reduce" || algo == "randreduce" || algo == "lowspace" ||
-         algo == "mis" || algo == "trial" || algo == "greedy";
+namespace {
+
+constexpr PipelineInfo kPipelines[] = {
+    // name        threaded has_stats uses_seed
+    {"reduce",     true,    true,     false},
+    {"randreduce", true,    true,     true},
+    {"lowspace",   true,    true,     false},
+    {"mis",        true,    true,     false},
+    {"trial",      true,    false,    true},
+    {"greedy",     false,   false,    false},
+};
+
+}  // namespace
+
+const PipelineInfo* find_pipeline(const std::string& name) {
+  for (const PipelineInfo& row : kPipelines) {
+    if (name == row.name) return &row;
+  }
+  return nullptr;
 }
 
-bool pipeline_threaded(const std::string& algo) {
-  return pipeline_known(algo) && algo != "greedy";
-}
-
-bool pipeline_has_stats(const std::string& algo) {
-  return algo == "reduce" || algo == "randreduce" || algo == "lowspace" ||
-         algo == "mis";
+std::string pipeline_names(bool PipelineInfo::*property) {
+  std::vector<std::string> names;
+  for (const PipelineInfo& row : kPipelines) {
+    if (property == nullptr || row.*property) names.emplace_back(row.name);
+  }
+  std::string out;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (i > 0) out += i + 1 == names.size() ? " or " : ", ";
+    out += names[i];
+  }
+  return out;
 }
 
 PipelineRun run_pipeline(const std::string& algo, const Graph& g,

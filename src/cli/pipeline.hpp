@@ -22,24 +22,31 @@ class PowerTableProvider;  // hashing/batch_eval.hpp
 
 namespace detcol::cli {
 
-/// Canonical pipeline names: reduce, randreduce, lowspace, mis, trial,
-/// greedy ("colorreduce" is accepted as an alias of reduce by the suite
+/// One row of the pipeline registry — the only list of pipeline names and
+/// properties. `detcol color`, the suite and the server all validate
+/// against it ("colorreduce" is accepted as an alias of reduce by the suite
 /// parser, not here).
-bool pipeline_known(const std::string& algo);
+struct PipelineInfo {
+  const char* name;
+  bool threaded;   // consumes an ExecContext (--threads applies); greedy is
+                   // the sequential centralized baseline
+  bool has_stats;  // can render a stats JSON document
+  bool uses_seed;  // randomized: --seed doubles as the algorithm seed
+};
 
-/// True for pipelines that consume an ExecContext (--threads applies);
-/// greedy is the sequential centralized baseline.
-bool pipeline_threaded(const std::string& algo);
+/// The registry row named `name`, or nullptr for an unknown name.
+const PipelineInfo* find_pipeline(const std::string& name);
 
-/// True for pipelines that can render a stats JSON document.
-bool pipeline_has_stats(const std::string& algo);
+/// The names of every row with `property` set (every row when null), in
+/// registry order and joined for messages: "reduce, lowspace or mis".
+std::string pipeline_names(bool PipelineInfo::*property = nullptr);
 
 struct PipelineRun {
   Coloring coloring{0};
   std::uint64_t rounds = 0;  // model rounds where the pipeline reports them
   double wall_seconds = 0;
   std::string mpc_json;    // MPC cost block; empty for trial/greedy
-  std::string stats_json;  // filled iff want_stats and pipeline_has_stats
+  std::string stats_json;  // filled iff want_stats and the row's has_stats
 };
 
 /// Run `algo` on (g, palettes). `seed` feeds the randomized baselines

@@ -11,13 +11,16 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <string_view>
+#include <system_error>
 
 #include "graph/generators.hpp"
 #include "graph/scalable_gen.hpp"
 #include "util/check.hpp"
+#include "util/deadline.hpp"
 
 namespace detcol::cli {
 
@@ -59,6 +62,26 @@ Graph realize_scalable(const ScalableGenSpec& gen_spec, const ArgParser& args,
 }  // namespace
 
 void usage_error(const std::string& msg) { throw UsageError(msg); }
+
+ErrorInfo error_info(std::exception_ptr error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const UsageError& e) {
+    return {"usage", e.what()};
+  } catch (const DeadlineExceeded& e) {
+    return {"timeout", e.what()};
+  } catch (const CheckError& e) {
+    return {"check", e.what()};
+  } catch (const std::bad_alloc&) {
+    return {"oom", "allocation failure"};
+  } catch (const std::system_error& e) {
+    return {"io", e.what()};
+  } catch (const std::exception& e) {
+    return {"internal", e.what()};
+  } catch (...) {
+    return {"internal", "unknown exception"};
+  }
+}
 
 std::uint64_t parse_uint_strict(const std::string& s, const std::string& what) {
   char* end = nullptr;
@@ -493,6 +516,19 @@ ColoringFile read_coloring_file(const std::string& path) {
   std::ifstream is(path);
   DC_CHECK(is.good(), "cannot open ", path, " for reading");
   return read_coloring(is, path);
+}
+
+VerifyResult verify_coloring_file(const Graph& g, const ColoringFile& file,
+                                  const PaletteSet* palettes) {
+  if (palettes != nullptr) return verify_coloring(g, *palettes, file.coloring);
+  VerifyResult v = verify_proper_partial(g, file.coloring);
+  if (v.ok && !file.coloring.complete()) {
+    v.ok = false;
+    v.issue = "coloring is incomplete (" +
+              std::to_string(file.coloring.num_colored()) + " of " +
+              std::to_string(file.coloring.color.size()) + " nodes colored)";
+  }
+  return v;
 }
 
 std::size_t count_distinct_colors(const Coloring& coloring) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <initializer_list>
 #include <iosfwd>
 #include <stdexcept>
@@ -41,6 +42,15 @@ class UsageError : public std::runtime_error {
 };
 
 [[noreturn]] void usage_error(const std::string& msg);
+
+/// The one exception -> error-class mapping, shared by main()'s exit codes,
+/// the suite's cell outcomes and the server's error frames.
+struct ErrorInfo {
+  std::string error_class;  // usage, timeout, check, oom, io or internal
+  std::string message;      // what(); "allocation failure" for oom
+};
+
+ErrorInfo error_info(std::exception_ptr error);
 
 // ---------------------------------------------------------------------------
 // Strict flag handling: ArgParser is deliberately permissive for benches and
@@ -154,6 +164,12 @@ struct ColoringFile {
 ColoringFile read_coloring(std::istream& is, const std::string& what);
 
 ColoringFile read_coloring_file(const std::string& path);
+
+/// Check a coloring file against its graph: palette-respecting against
+/// `palettes`, or — when `palettes` is null (--proper-only, or no recorded
+/// palette) — proper and complete.
+VerifyResult verify_coloring_file(const Graph& g, const ColoringFile& file,
+                                  const PaletteSet* palettes);
 
 std::size_t count_distinct_colors(const Coloring& coloring);
 

@@ -395,38 +395,6 @@ const FieldKernel* kernel_for(SimdKind kind) {
   return &kScalarKernel;  // unreachable
 }
 
-bool parse_simd_spec(const std::string& spec, SimdKind* kind,
-                     std::string* error) {
-  if (spec == "auto") {
-    *kind = simd_auto_kind();
-    return true;
-  }
-  SimdKind want;
-  if (spec == "scalar") {
-    want = SimdKind::kScalar;
-  } else if (spec == "avx2") {
-    want = SimdKind::kAvx2;
-  } else if (spec == "neon") {
-    want = SimdKind::kNeon;
-  } else {
-    if (error != nullptr) {
-      *error = "invalid simd kernel '" + spec +
-               "' (expected auto, scalar, avx2 or neon)";
-    }
-    return false;
-  }
-  if (!simd_available(want)) {
-    if (error != nullptr) {
-      *error = "simd kernel '" + spec +
-               "' is not available on this host/build (available: " +
-               simd_kind_name(simd_auto_kind()) + ", scalar)";
-    }
-    return false;
-  }
-  *kind = want;
-  return true;
-}
-
 std::atomic<const FieldKernel*> g_active{nullptr};
 
 // First-use default: $DETCOL_SIMD if set (the CLI validates it up front and
@@ -481,6 +449,38 @@ const char* simd_kind_name(SimdKind kind) {
       break;
   }
   return "scalar";
+}
+
+bool parse_simd_spec(const std::string& spec, SimdKind* kind,
+                     std::string* error) {
+  if (spec == "auto") {
+    *kind = simd_auto_kind();
+    return true;
+  }
+  SimdKind want;
+  if (spec == "scalar") {
+    want = SimdKind::kScalar;
+  } else if (spec == "avx2") {
+    want = SimdKind::kAvx2;
+  } else if (spec == "neon") {
+    want = SimdKind::kNeon;
+  } else {
+    if (error != nullptr) {
+      *error = "invalid simd kernel '" + spec +
+               "' (expected auto, scalar, avx2 or neon)";
+    }
+    return false;
+  }
+  if (!simd_available(want)) {
+    if (error != nullptr) {
+      *error = "simd kernel '" + spec +
+               "' is not available on this host/build (available: " +
+               simd_kind_name(simd_auto_kind()) + ", scalar)";
+    }
+    return false;
+  }
+  *kind = want;
+  return true;
 }
 
 const FieldKernel& active_field_kernel() {

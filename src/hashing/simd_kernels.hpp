@@ -92,15 +92,20 @@ const char* simd_kind_name(SimdKind kind);
 /// else the auto-detected best — i.e. selection happens once at first use.
 const FieldKernel& active_field_kernel();
 
+/// Parse a kernel spec: "auto" (the best available), "scalar", "avx2",
+/// "neon". Returns false when the spec is malformed or names an ISA this
+/// host cannot run; *error (if non-null) then holds a one-line diagnostic.
+bool parse_simd_spec(const std::string& spec, SimdKind* kind,
+                     std::string* error);
+
 /// Name of the active kernel — the "kernel" field of stats/suite JSON.
 /// Host-dependent, so it is excluded from cross-host bit-compares exactly
 /// like "timing" (in-process invariance suites run under one fixed kernel).
 const char* active_simd_name();
 
-/// Select the active kernel from a spec string: "auto" (best available),
-/// "scalar", "avx2", "neon". Returns false without changing the selection
-/// when the spec is malformed or names an ISA this host cannot run; *error
-/// then holds a one-line diagnostic (the CLI maps it to usage exit 2).
+/// Select the active kernel from a parse_simd_spec string. Returns false
+/// without changing the selection when the spec does not parse; *error then
+/// holds the diagnostic (the CLI maps it to usage exit 2).
 bool select_simd(const std::string& spec, std::string* error);
 
 }  // namespace detcol

@@ -9,10 +9,11 @@
 //   suite   run a {graph x pipeline x threads} matrix from a spec file
 //   serve   persistent coloring service over a Unix-domain socket
 //
-// The spec grammar (graph/palette flag strings), the coloring-file format
-// and the pipeline dispatch live in src/cli/ — shared verbatim with the
-// serving layer, which is what makes `detcol color --server=SOCK` responses
-// byte-identical to one-shot runs.
+// The spec grammar (graph/palette flag strings), the coloring-file format,
+// the pipeline registry and dispatch, and the exception -> error-class
+// mapping live in src/cli/ — shared verbatim with the serving layer, which
+// is what makes `detcol color --server=SOCK` responses byte-identical to
+// one-shot runs.
 //
 // Typical session:
 //   detcol color --n=1000 --p=0.02 --out=run.colors
@@ -25,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
@@ -33,7 +35,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "cli/pipeline.hpp"
@@ -153,13 +154,14 @@ Suite:
   --spec=FILE        Declarative scenario matrix. Directives, one per line
                      ('#' comments): "graph NAME FLAGS..." (generator or
                      --input flags, repeatable), "palette FLAGS...",
-                     "pipelines NAME..." (reduce, lowspace, mis, trial,
-                     greedy), "threads N...", "kernels NAME..." (field
-                     kernels to force per cell: auto, scalar, avx2, neon;
-                     "auto" resolves to the host's best at parse time and
-                     resolved duplicates collapse; default: the --simd /
-                     $DETCOL_SIMD selection), "seed S" (trial's algorithm
-                     seed), "timeout_seconds S" (per-cell wall budget;
+                     "pipelines NAME..." (reduce, randreduce, lowspace,
+                     mis, trial, greedy), "threads N...", "kernels
+                     NAME..." (field kernels to force per cell: auto,
+                     scalar, avx2, neon; "auto" resolves to the host's best
+                     at parse time and resolved duplicates collapse;
+                     default: the --simd / $DETCOL_SIMD selection), "seed
+                     S" (the trial/randreduce algorithm seed),
+                     "timeout_seconds S" (per-cell wall budget;
                      expired cells report status "timeout"), "timing off"
                      (report wall_seconds as 0 for byte-identical reports),
                      "server ENDPOINT" (run every cell as a request against
@@ -228,44 +230,25 @@ ExecHolder make_exec(const ArgParser& args) {
   return make_exec_holder(resolve_threads(args));
 }
 
-/// Arm the fault-injection registry from --failpoints (wins) or the
-/// DETCOL_FAILPOINTS environment variable. A malformed spec is a bad
-/// invocation (exit 2), never a silent no-op.
-void init_failpoints(const ArgParser& args) {
+/// Apply a global setting from --`flag` (wins) or the `env` variable
+/// through `apply` — the --failpoints and --simd selections. A value
+/// `apply` rejects is a bad invocation (exit 2), never a silent no-op or
+/// fallback.
+void init_global(const ArgParser& args, const std::string& flag,
+                 const char* env,
+                 bool (*apply)(const std::string&, std::string*)) {
   std::string spec;
-  std::string src = "flag --failpoints";
-  if (args.has("failpoints")) {
-    spec = get_value_flag(args, "failpoints", "");
-  } else if (const char* env = std::getenv("DETCOL_FAILPOINTS")) {
-    src = "DETCOL_FAILPOINTS";
-    spec = env;
+  std::string src = "flag --" + flag;
+  if (args.has(flag)) {
+    spec = get_value_flag(args, flag, "");
+  } else if (const char* value = std::getenv(env)) {
+    src = env;
+    spec = value;
   } else {
     return;
   }
   std::string error;
-  if (!arm_failpoints(spec, &error)) {
-    usage_error(src + ": " + error);
-  }
-}
-
-/// Select the field kernel from --simd (wins) or the DETCOL_SIMD environment
-/// variable. A malformed name or an ISA this host cannot run is a bad
-/// invocation (exit 2) — forcing a kernel must never silently fall back.
-void init_simd(const ArgParser& args) {
-  std::string spec;
-  std::string src = "flag --simd";
-  if (args.has("simd")) {
-    spec = get_value_flag(args, "simd", "");
-  } else if (const char* env = std::getenv("DETCOL_SIMD")) {
-    src = "DETCOL_SIMD";
-    spec = env;
-  } else {
-    return;
-  }
-  std::string error;
-  if (!select_simd(spec, &error)) {
-    usage_error(src + ": " + error);
-  }
+  if (!apply(spec, &error)) usage_error(src + ": " + error);
 }
 
 // ---------------------------------------------------------------------------
@@ -345,27 +328,16 @@ std::string raw_span(const std::string& raw, const JsonValue& v) {
   return raw.substr(v.raw_begin, v.raw_end - v.raw_begin);
 }
 
-int run_color_via_server(const ArgParser& args) {
+int run_color_via_server(const ArgParser& args, const std::string& algo) {
   const bool quiet = get_bool_strict(args, "quiet");
   serve::Request req;
   req.op = "color";
   req.graph_spec = client_graph_spec(args);
   req.palette_spec = client_palette_spec(args);
-  req.algo = get_value_flag(args, "algo", "reduce");
+  req.algo = algo;
   req.seed = get_uint_strict(args, "seed", 1);
   req.threads = resolve_threads(args);
   req.want_stats = args.has("stats");
-  // Mirror the local command's flag-applicability checks so a bad
-  // invocation fails identically with or without --server.
-  if (req.want_stats && !pipeline_has_stats(req.algo)) {
-    usage_error("--stats is only supported with --algo=reduce, randreduce, "
-                "lowspace or mis");
-  }
-  if (args.has("threads") && !pipeline_threaded(req.algo)) {
-    usage_error(
-        "--threads only applies to --algo=reduce, randreduce, lowspace, mis "
-        "or trial");
-  }
   std::string raw;
   serve::ServeClient client(get_value_flag(args, "server", ""));
   const JsonValue resp = client.roundtrip(req, &raw);
@@ -524,25 +496,26 @@ int cmd_color(const ArgParser& args) {
                                      {"algo", "stats", "out", "quiet",
                                       "threads", "server"}));
   reject_positionals(args);
-  if (args.has("server")) return run_color_via_server(args);
+  // One registry check for the local and the --server path, so a bad
+  // invocation fails identically either way.
   const std::string algo = get_value_flag(args, "algo", "reduce");
-  if (!pipeline_known(algo)) usage_error("unknown --algo '" + algo + "'");
-  // --seed doubles as the algorithm seed only for the randomized baselines;
+  const PipelineInfo* pipeline = find_pipeline(algo);
+  if (pipeline == nullptr) usage_error("unknown --algo '" + algo + "'");
+  if (args.has("stats") && !pipeline->has_stats) {
+    usage_error("--stats is only supported with --algo=" +
+                pipeline_names(&PipelineInfo::has_stats));
+  }
+  if (args.has("threads") && !pipeline->threaded) {
+    usage_error("--threads only applies to --algo=" +
+                pipeline_names(&PipelineInfo::threaded));
+  }
+  if (args.has("server")) return run_color_via_server(args, algo);
+  // --seed doubles as the algorithm seed only for the randomized pipelines;
   // anywhere else it must be consumed by the generator or rejected.
-  const bool algo_uses_seed = algo == "trial" || algo == "randreduce";
-  const GraphSource src = build_graph(args, algo_uses_seed);
+  const GraphSource src = build_graph(args, pipeline->uses_seed);
   const Graph& g = src.graph;
   const PaletteSource pal = build_palettes(args, g);
   const bool quiet = get_bool_strict(args, "quiet");
-  if (args.has("stats") && !pipeline_has_stats(algo)) {
-    usage_error("--stats is only supported with --algo=reduce, randreduce, "
-                "lowspace or mis");
-  }
-  if (args.has("threads") && !pipeline_threaded(algo)) {
-    usage_error(
-        "--threads only applies to --algo=reduce, randreduce, lowspace, mis "
-        "or trial");
-  }
 
   const ExecHolder ex = make_exec(args);
   const std::string stats_path = get_value_flag(args, "stats", "");
@@ -615,29 +588,20 @@ int cmd_verify(const ArgParser& args) {
            "graph has ", g.num_nodes(), " nodes but coloring file has ",
            file.coloring.color.size(), " entries");
 
-  VerifyResult v;
   const bool proper_only =
       get_bool_strict(args, "proper-only") || file.palette_spec.empty();
-  if (proper_only) {
-    v = verify_proper_partial(g, file.coloring);
-    if (v.ok && !file.coloring.complete()) {
-      v.ok = false;
-      v.issue = "coloring is incomplete (" +
-                std::to_string(file.coloring.num_colored()) + " of " +
-                std::to_string(file.coloring.color.size()) +
-                " nodes colored)";
-    }
-  } else {
+  PaletteSet palettes;
+  if (!proper_only) {
     try {
-      const PaletteSet palettes =
-          build_palettes(parse_spec(file.palette_spec), g).palettes;
-      v = verify_coloring(g, palettes, file.coloring);
+      palettes = build_palettes(parse_spec(file.palette_spec), g).palettes;
     } catch (const UsageError& e) {
       std::fprintf(stderr, "INVALID: corrupt '# palette:' header in %s: %s\n",
                    path.c_str(), e.what());
       return kExitFailure;
     }
   }
+  const VerifyResult v =
+      verify_coloring_file(g, file, proper_only ? nullptr : &palettes);
   if (!v.ok) {
     std::fprintf(stderr, "INVALID: %s\n", v.issue.c_str());
     return kExitFailure;
@@ -759,13 +723,13 @@ struct SuiteSpec {
     std::string flags;  // "--gen=... --n=..." or "--input=path"
   };
   std::vector<GraphDecl> graphs;
-  std::string palette_flags;          // empty -> delta1
-  std::vector<std::string> pipelines;  // canonical algo names
+  std::string palette_flags;                   // empty -> delta1
+  std::vector<const PipelineInfo*> pipelines;  // registry rows
   std::vector<unsigned> threads{1};
   std::vector<std::string> kernels;  // resolved kernel names; empty -> the
                                      // process-active (--simd) selection
   std::string server;             // endpoint: run cells as served requests
-  std::uint64_t algo_seed = 1;    // trial's RNG seed
+  std::uint64_t algo_seed = 1;    // the randomized pipelines' seed
   double timeout_seconds = 0;     // per-cell wall budget; 0 = unlimited
   bool timing = true;             // false: report wall_seconds as 0
 };
@@ -808,13 +772,12 @@ SuiteSpec parse_suite_spec(const std::string& text, const std::string& what) {
     } else if (directive == "pipelines") {
       DC_CHECK(!rest.empty(), what, ":", line_no,
                ": 'pipelines' needs at least one name");
-      for (std::string name : rest) {
-        if (name == "colorreduce") name = "reduce";
-        DC_CHECK(name == "reduce" || name == "lowspace" || name == "mis" ||
-                     name == "trial" || name == "greedy",
-                 what, ":", line_no, ": unknown pipeline '", name,
-                 "' (reduce, lowspace, mis, trial, greedy)");
-        spec.pipelines.push_back(name);
+      for (const std::string& name : rest) {
+        const PipelineInfo* pipeline =
+            find_pipeline(name == "colorreduce" ? "reduce" : name);
+        DC_CHECK(pipeline != nullptr, what, ":", line_no,
+                 ": unknown pipeline '", name, "' (", pipeline_names(), ")");
+        spec.pipelines.push_back(pipeline);
       }
     } else if (directive == "threads") {
       DC_CHECK(!rest.empty(), what, ":", line_no,
@@ -836,25 +799,14 @@ SuiteSpec parse_suite_spec(const std::string& text, const std::string& what) {
         // cell key is a concrete kernel name; a name this host cannot run
         // is a spec (data) error, like an out-of-range thread count.
         SimdKind kind = SimdKind::kScalar;
-        if (tok == "auto") {
-          kind = simd_auto_kind();
-        } else if (tok == "scalar") {
-          kind = SimdKind::kScalar;
-        } else if (tok == "avx2") {
-          kind = SimdKind::kAvx2;
-        } else if (tok == "neon") {
-          kind = SimdKind::kNeon;
-        } else {
-          DC_CHECK(false, what, ":", line_no, ": unknown kernel '", tok,
-                   "' (auto, scalar, avx2, neon)");
-        }
-        DC_CHECK(simd_available(kind), what, ":", line_no, ": kernel '", tok,
-                 "' is not available on this host/build");
+        std::string error;
+        DC_CHECK(parse_simd_spec(tok, &kind, &error), what, ":", line_no,
+                 ": ", error);
         const std::string name = simd_kind_name(kind);
-        const bool dup = std::any_of(
-            spec.kernels.begin(), spec.kernels.end(),
-            [&](const std::string& k) { return k == name; });
-        if (!dup) spec.kernels.push_back(name);
+        if (std::find(spec.kernels.begin(), spec.kernels.end(), name) ==
+            spec.kernels.end()) {
+          spec.kernels.push_back(name);
+        }
       }
     } else if (directive == "server") {
       DC_CHECK(rest.size() == 1, what, ":", line_no,
@@ -893,30 +845,13 @@ SuiteSpec parse_suite_spec(const std::string& text, const std::string& what) {
   return spec;
 }
 
+/// The numbers of a verified cell.
 struct SuiteCell {
   std::uint64_t rounds = 0;
   std::size_t colors = 0;
   double wall_seconds = 0;
-  bool verified = false;
-  std::string issue;
   std::string mpc_json;  // the pipeline's MPC cost block; empty for baselines
 };
-
-SuiteCell run_suite_cell(const Graph& g, const PaletteSet& palettes,
-                         const std::string& pipeline, ExecContext exec,
-                         std::uint64_t seed) {
-  SuiteCell cell;
-  PipelineRun run =
-      run_pipeline(pipeline, g, palettes, exec, seed, /*want_stats=*/false);
-  cell.rounds = run.rounds;
-  cell.mpc_json = std::move(run.mpc_json);
-  cell.wall_seconds = run.wall_seconds;
-  const VerifyResult v = verify_coloring(g, palettes, run.coloring);
-  cell.verified = v.ok;
-  cell.issue = v.issue;
-  cell.colors = count_distinct_colors(run.coloring);
-  return cell;
-}
 
 /// One graph declaration, built lazily the first time one of its cells runs.
 /// A build failure (unreadable file, corrupt content, bad generator flags)
@@ -943,10 +878,7 @@ void ensure_graph(GraphSlot& slot, const std::string& palette_flags,
     const std::string pal_flags =
         palette_flags.empty() ? "--palette=delta1" : palette_flags;
     slot.palettes = build_palettes(parse_spec(pal_flags), slot.graph).palettes;
-  } catch (const UsageError& e) {
-    slot.failed = true;
-    slot.error = e.what();
-  } catch (const std::exception& e) {  // CheckError, bad_alloc, system_error
+  } catch (const std::exception& e) {  // UsageError, CheckError, ...
     slot.failed = true;
     slot.error = e.what();
   }
@@ -957,7 +889,7 @@ void ensure_graph(GraphSlot& slot, const std::string& palette_flags,
 }
 
 /// A cell's structured outcome: "ok" with the run's numbers, "timeout", or
-/// "error" with a taxonomy class (load, check, oom, io, verify, internal).
+/// "error" with a taxonomy class (load, verify, or an error_info class).
 struct CellOutcome {
   std::string status;
   std::string error_class;
@@ -965,16 +897,19 @@ struct CellOutcome {
   SuiteCell cell;
 };
 
+/// A failed cell: the "timeout" class is its own status, every other class
+/// is status "error".
+CellOutcome failed_cell(const std::string& error_class, std::string message) {
+  CellOutcome out;
+  out.status = error_class == "timeout" ? "timeout" : "error";
+  if (out.status == "error") out.error_class = error_class;
+  out.message = std::move(message);
+  return out;
+}
+
 CellOutcome run_cell_isolated(const GraphSlot& slot,
                               const std::string& pipeline, ExecContext exec,
                               std::uint64_t seed, double timeout_seconds) {
-  CellOutcome out;
-  if (slot.failed) {
-    out.status = "error";
-    out.error_class = "load";
-    out.message = slot.error;
-    return out;
-  }
   // The deadline lives on this frame for the whole pipeline call; the exec
   // copy handed down carries a pointer to it (exec/exec.hpp lifetime rule).
   Deadline deadline;
@@ -982,53 +917,31 @@ CellOutcome run_cell_isolated(const GraphSlot& slot,
   exec.set_deadline(&deadline);
   try {
     DC_FAILPOINT("suite.cell");
-    out.cell = run_suite_cell(slot.graph, slot.palettes, pipeline, exec, seed);
-    if (out.cell.verified) {
-      out.status = "ok";
-    } else {
-      out.status = "error";
-      out.error_class = "verify";
-      out.message = out.cell.issue;
-    }
-  } catch (const DeadlineExceeded& e) {
-    out.status = "timeout";
-    out.message = e.what();
-  } catch (const CheckError& e) {
-    out.status = "error";
-    out.error_class = "check";
-    out.message = e.what();
-  } catch (const std::bad_alloc&) {
-    out.status = "error";
-    out.error_class = "oom";
-    out.message = "allocation failure";
-  } catch (const std::system_error& e) {
-    out.status = "error";
-    out.error_class = "io";
-    out.message = e.what();
-  } catch (const std::exception& e) {
-    out.status = "error";
-    out.error_class = "internal";
-    out.message = e.what();
+    PipelineRun run = run_pipeline(pipeline, slot.graph, slot.palettes, exec,
+                                   seed, /*want_stats=*/false);
+    const VerifyResult v =
+        verify_coloring(slot.graph, slot.palettes, run.coloring);
+    if (!v.ok) return failed_cell("verify", v.issue);
+    CellOutcome out;
+    out.status = "ok";
+    out.cell = {run.rounds, count_distinct_colors(run.coloring),
+                run.wall_seconds, std::move(run.mpc_json)};
+    return out;
+  } catch (...) {
+    const ErrorInfo e = error_info(std::current_exception());
+    return failed_cell(e.error_class, e.message);
   }
-  return out;
 }
 
 /// The 'server' directive: the cell becomes one request against a running
 /// `detcol serve` — a load-generator mode. The graph is still built locally
 /// (the report header records n/m/Δ), but the pipeline runs server-side
 /// under the cell's thread budget; the response's deterministic fields map
-/// onto the same cell schema.
+/// onto the same cell schema, and its error frame onto the same classes.
 CellOutcome run_cell_via_server(const std::string& endpoint,
                                 const SuiteSpec& spec, const GraphSlot& slot,
                                 const std::string& pipeline,
                                 unsigned threads) {
-  CellOutcome out;
-  if (slot.failed) {
-    out.status = "error";
-    out.error_class = "load";
-    out.message = slot.error;
-    return out;
-  }
   try {
     DC_FAILPOINT("suite.cell");
     serve::Request req;
@@ -1042,49 +955,36 @@ CellOutcome run_cell_via_server(const std::string& endpoint,
     std::string raw;
     serve::ServeClient client(endpoint);
     const JsonValue resp = client.roundtrip(req, &raw);
-    if (response_ok(resp)) {
-      const JsonValue* result = resp.find("result");
-      DC_CHECK(result != nullptr, "server response has no \"result\"");
-      const JsonValue* rounds = result->find("rounds");
-      const JsonValue* colors = result->find("colors_used");
-      DC_CHECK(rounds != nullptr && colors != nullptr,
-               "server response result lacks rounds/colors_used");
-      out.cell.rounds = static_cast<std::uint64_t>(rounds->number);
-      out.cell.colors = static_cast<std::size_t>(colors->number);
-      out.cell.verified = true;
-      if (const JsonValue* mpc = result->find("mpc")) {
-        out.cell.mpc_json = raw.substr(mpc->raw_begin,
-                                       mpc->raw_end - mpc->raw_begin);
-      }
-      if (const JsonValue* transient = resp.find("transient")) {
-        if (const JsonValue* wall = transient->find("wall_seconds")) {
-          out.cell.wall_seconds = wall->number;
-        }
-      }
-      out.status = "ok";
-    } else {
+    if (!response_ok(resp)) {
       const JsonValue* cls = resp.find("error_class");
       const JsonValue* msg = resp.find("message");
-      const std::string error_class =
-          cls != nullptr ? cls->string_value : "internal";
-      out.message = msg != nullptr ? msg->string_value : "server error";
-      if (error_class == "timeout") {
-        out.status = "timeout";
-      } else {
-        out.status = "error";
-        out.error_class = error_class;
+      return failed_cell(cls != nullptr ? cls->string_value : "internal",
+                         msg != nullptr ? msg->string_value : "server error");
+    }
+    const JsonValue* result = resp.find("result");
+    DC_CHECK(result != nullptr, "server response has no \"result\"");
+    const JsonValue* rounds = result->find("rounds");
+    const JsonValue* colors = result->find("colors_used");
+    DC_CHECK(rounds != nullptr && colors != nullptr,
+             "server response result lacks rounds/colors_used");
+    CellOutcome out;
+    out.status = "ok";
+    out.cell.rounds = static_cast<std::uint64_t>(rounds->number);
+    out.cell.colors = static_cast<std::size_t>(colors->number);
+    if (const JsonValue* mpc = result->find("mpc")) {
+      out.cell.mpc_json = raw_span(raw, *mpc);
+    }
+    if (const JsonValue* transient = resp.find("transient")) {
+      if (const JsonValue* wall = transient->find("wall_seconds")) {
+        out.cell.wall_seconds = wall->number;
       }
     }
+    return out;
   } catch (const CheckError& e) {  // connect/transport failures
-    out.status = "error";
-    out.error_class = "io";
-    out.message = e.what();
+    return failed_cell("io", e.what());
   } catch (const std::exception& e) {
-    out.status = "error";
-    out.error_class = "internal";
-    out.message = e.what();
+    return failed_cell("internal", e.what());
   }
-  return out;
 }
 
 /// Render a suite cell's JSON object. `timing` off reports wall_seconds as 0
@@ -1263,16 +1163,17 @@ int cmd_suite(const ArgParser& args) {
           : spec.kernels;
 
   for (GraphSlot& slot : slots) {
-    for (const std::string& pipeline : spec.pipelines) {
-      // greedy is the sequential centralized baseline: collapse its thread
-      // axis to one cell instead of re-running identical work — and its
-      // kernel axis too (it does no field arithmetic at all).
+    for (const PipelineInfo* info : spec.pipelines) {
+      const std::string pipeline = info->name;
+      // An unthreaded row (greedy, the sequential centralized baseline)
+      // collapses its thread axis to one cell instead of re-running
+      // identical work — and its kernel axis too (it does no field
+      // arithmetic at all).
       const std::vector<unsigned> cell_threads =
-          pipeline == "greedy" ? std::vector<unsigned>{1} : spec.threads;
+          info->threaded ? spec.threads : std::vector<unsigned>{1};
       const std::vector<std::string> cell_kernels =
-          pipeline == "greedy"
-              ? std::vector<std::string>{suite_kernels.front()}
-              : suite_kernels;
+          info->threaded ? suite_kernels
+                         : std::vector<std::string>{suite_kernels.front()};
       for (const unsigned t : cell_threads) {
         for (const std::string& kernel : cell_kernels) {
           const std::string key = cell_key(slot.decl.name, pipeline, t,
@@ -1289,7 +1190,8 @@ int cmd_suite(const ArgParser& args) {
             DC_CHECK(select_simd(kernel, &error), error);  // validated above
           }
           const CellOutcome out =
-              via_server
+              slot.failed ? failed_cell("load", slot.error)
+              : via_server
                   ? run_cell_via_server(spec.server, spec, slot, pipeline, t)
                   : run_cell_isolated(slot, pipeline, holders.at(t).exec,
                                       spec.algo_seed, spec.timeout_seconds);
@@ -1345,26 +1247,37 @@ int run(int argc, char** argv) {
   // ArgParser skips its argv[0]; handing it argv + 1 makes the subcommand
   // name the skipped slot and parses everything after it.
   const ArgParser args(argc - 1, argv + 1);
-  try {
-    init_failpoints(args);
-    init_simd(args);
-    if (command == "gen") return cmd_gen(args);
-    if (command == "color") return cmd_color(args);
-    if (command == "verify") return cmd_verify(args);
-    if (command == "stats") return cmd_stats(args);
-    if (command == "convert") return cmd_convert(args);
-    if (command == "suite") return cmd_suite(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "help" || command == "--help" || command == "-h") {
-      std::fputs(kUsage, stdout);
-      return kExitOk;
-    }
-    usage_error("unknown command '" + command + "'");
-  } catch (const UsageError& e) {
+  init_global(args, "failpoints", "DETCOL_FAILPOINTS", arm_failpoints);
+  init_global(args, "simd", "DETCOL_SIMD", select_simd);
+  if (command == "gen") return cmd_gen(args);
+  if (command == "color") return cmd_color(args);
+  if (command == "verify") return cmd_verify(args);
+  if (command == "stats") return cmd_stats(args);
+  if (command == "convert") return cmd_convert(args);
+  if (command == "suite") return cmd_suite(args);
+  if (command == "serve") return cmd_serve(args);
+  if (command == "help" || command == "--help" || command == "-h") {
+    std::fputs(kUsage, stdout);
+    return kExitOk;
+  }
+  usage_error("unknown command '" + command + "'");
+}
+
+/// Every failure that reaches main(): a usage error exits 2 with the help
+/// hint, every other class exits 1 with a one-line diagnostic.
+int report_failure(std::exception_ptr error) {
+  const ErrorInfo e = error_info(error);
+  if (e.error_class == "usage") {
     std::fprintf(stderr, "detcol: %s\nRun `detcol help` for usage.\n",
-                 e.what());
+                 e.message.c_str());
     return kExitUsage;
   }
+  const char* prefix = e.error_class == "io"         ? "I/O error: "
+                       : e.error_class == "internal" ? "unexpected error: "
+                                                     : "";
+  std::fprintf(stderr, "detcol: %s%s\n", prefix,
+               e.error_class == "oom" ? "out of memory" : e.message.c_str());
+  return kExitFailure;
 }
 
 }  // namespace
@@ -1373,20 +1286,7 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return detcol::run(argc, argv);
-  } catch (const detcol::CheckError& e) {
-    std::fprintf(stderr, "detcol: %s\n", e.what());
-    return 1;
-  } catch (const detcol::DeadlineExceeded& e) {
-    std::fprintf(stderr, "detcol: %s\n", e.what());
-    return 1;
-  } catch (const std::bad_alloc&) {
-    std::fprintf(stderr, "detcol: out of memory\n");
-    return 1;
-  } catch (const std::system_error& e) {
-    std::fprintf(stderr, "detcol: I/O error: %s\n", e.what());
-    return 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "detcol: unexpected error: %s\n", e.what());
-    return 1;
+  } catch (...) {
+    return detcol::report_failure(std::current_exception());
   }
 }

@@ -19,7 +19,6 @@
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -164,7 +163,7 @@ CachedResult run_color(ServerState& st, const Request& req,
   if (req.graph_spec.empty()) {
     cli::usage_error("\"" + req.op + "\" request needs a \"graph\" spec");
   }
-  if (!cli::pipeline_known(req.algo)) {
+  if (cli::find_pipeline(req.algo) == nullptr) {
     cli::usage_error("unknown algo '" + req.algo + "'");
   }
   const InstanceStore::Acquired acq =
@@ -252,22 +251,13 @@ std::string render_verify_result(ServerState& st, const Request& req,
            "graph has ", inst.graph().num_nodes(),
            " nodes but the coloring has ", file.coloring.color.size(),
            " entries");
-  VerifyResult v;
   const bool proper_only = req.proper_only || file.palette_spec.empty();
-  if (proper_only) {
-    v = verify_proper_partial(inst.graph(), file.coloring);
-    if (v.ok && !file.coloring.complete()) {
-      v.ok = false;
-      v.issue = "coloring is incomplete (" +
-                std::to_string(file.coloring.num_colored()) + " of " +
-                std::to_string(file.coloring.color.size()) +
-                " nodes colored)";
-    }
-  } else {
-    const std::shared_ptr<const PaletteSet> palettes =
-        acq.instance->palettes(file.palette_spec, nullptr);
-    v = verify_coloring(inst.graph(), *palettes, file.coloring);
+  std::shared_ptr<const PaletteSet> palettes;
+  if (!proper_only) {
+    palettes = acq.instance->palettes(file.palette_spec, nullptr);
   }
+  const VerifyResult v =
+      cli::verify_coloring_file(inst.graph(), file, palettes.get());
   JsonWriter w;
   w.begin_object();
   w.key("op").value("verify");
@@ -305,7 +295,8 @@ std::string render_info_result(ServerState& st) {
 }
 
 /// One request -> one response payload. Exceptions map to error classes
-/// mirroring the suite runner's taxonomy; only this request is affected.
+/// through cli::error_info, like the suite's cells; only this request is
+/// affected.
 std::string handle_payload(ServerState& st, const std::string& payload) {
   const std::uint64_t seq = st.requests.fetch_add(1) + 1;
   WallTimer timer;
@@ -318,76 +309,45 @@ std::string handle_payload(ServerState& st, const std::string& payload) {
   try {
     const Request req = parse_request(payload);
     op = req.op;
+    // Ops that touch an instance also report per-run noise in "transient".
+    const bool transient =
+        req.op == "color" || req.op == "stats" || req.op == "verify";
+    CachedResult r;
     if (req.op == "ping" || req.op == "shutdown") {
       if (req.op == "shutdown") st.request_stop();
       JsonWriter w;
       w.begin_object();
-      w.key("ok").value(true);
-      w.key("result").begin_object();
       w.key("op").value(req.op);
       w.end_object();
-      w.end_object();
-      response = w.str();
+      r.result_json = w.str();
     } else if (req.op == "info") {
-      JsonWriter w;
-      w.begin_object();
-      w.key("ok").value(true);
-      w.key("result").raw(render_info_result(st));
-      w.end_object();
-      response = w.str();
+      r.result_json = render_info_result(st);
     } else if (req.op == "color" || req.op == "stats") {
-      const CachedResult r = run_color(st, req, &instance_hit, &result_hit);
-      JsonWriter w;
-      w.begin_object();
-      w.key("ok").value(true);
-      w.key("result").raw(r.result_json);
-      if (!r.stats_json.empty()) w.key("stats").raw(r.stats_json);
-      w.key("transient").begin_object();
-      w.key("wall_seconds").value(timer.seconds());
-      w.key("instance_hit").value(instance_hit);
-      w.key("result_hit").value(result_hit);
-      w.end_object();
-      w.end_object();
-      response = w.str();
+      r = run_color(st, req, &instance_hit, &result_hit);
     } else if (req.op == "verify") {
-      const std::string result = render_verify_result(st, req, &instance_hit);
-      JsonWriter w;
-      w.begin_object();
-      w.key("ok").value(true);
-      w.key("result").raw(result);
-      w.key("transient").begin_object();
-      w.key("wall_seconds").value(timer.seconds());
-      w.key("instance_hit").value(instance_hit);
-      w.end_object();
-      w.end_object();
-      response = w.str();
+      r.result_json = render_verify_result(st, req, &instance_hit);
     } else {
       cli::usage_error("unknown op '" + req.op + "'");
     }
-  } catch (const cli::UsageError& e) {
+    JsonWriter w;
+    w.begin_object();
+    w.key("ok").value(true);
+    w.key("result").raw(r.result_json);
+    if (!r.stats_json.empty()) w.key("stats").raw(r.stats_json);
+    if (transient) {
+      w.key("transient").begin_object();
+      w.key("wall_seconds").value(timer.seconds());
+      w.key("instance_hit").value(instance_hit);
+      if (req.op != "verify") w.key("result_hit").value(result_hit);
+      w.end_object();
+    }
+    w.end_object();
+    response = w.str();
+  } catch (...) {
+    const cli::ErrorInfo e = cli::error_info(std::current_exception());
     log_status = "error";
-    log_class = "usage";
-    response = render_error("usage", e.what());
-  } catch (const DeadlineExceeded& e) {
-    log_status = "error";
-    log_class = "timeout";
-    response = render_error("timeout", e.what());
-  } catch (const CheckError& e) {
-    log_status = "error";
-    log_class = "check";
-    response = render_error("check", e.what());
-  } catch (const std::bad_alloc&) {
-    log_status = "error";
-    log_class = "oom";
-    response = render_error("oom", "allocation failure");
-  } catch (const std::system_error& e) {
-    log_status = "error";
-    log_class = "io";
-    response = render_error("io", e.what());
-  } catch (const std::exception& e) {
-    log_status = "error";
-    log_class = "internal";
-    response = render_error("internal", e.what());
+    log_class = e.error_class;
+    response = render_error(e.error_class, e.message);
   }
   {
     JsonWriter w;

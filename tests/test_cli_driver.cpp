@@ -12,9 +12,12 @@
 #include <sstream>
 #include <string>
 
+#include "cli/pipeline.hpp"
+#include "cli/spec.hpp"
 #include "graph/coloring.hpp"
 #include "graph/io.hpp"
 #include "graph/palette.hpp"
+#include "util/json.hpp"
 
 namespace detcol {
 namespace {
@@ -440,6 +443,42 @@ TEST(CliDriver, SuiteRunsMatrixAndWritesReport) {
   EXPECT_EQ(doc.find("\"verified\":false"), std::string::npos);
 }
 
+TEST(CliDriver, SuiteRunsRandreduceWithItsSeed) {
+  const fs::path dir = test_dir();
+  const fs::path spec = dir / "suite.spec";
+  const fs::path report = dir / "report.json";
+  const std::string graph = "--gen=gnp --n=300 --p=0.05 --seed=4";
+  std::ofstream os(spec);
+  os << "graph g " << graph << "\npipelines randreduce\nthreads 1 2\n"
+     << "seed 9\n";
+  os.close();
+  ASSERT_EQ(run_detcol("suite --spec=" + shq(spec.string()) +
+                       " --quiet --out=" + shq(report.string())),
+            0);
+  // The suite's cells equal an in-process run with the spec's seed.
+  const Graph g =
+      cli::build_graph(cli::parse_spec(graph), /*allow_algo_seed=*/false)
+          .graph;
+  const PaletteSet palettes = PaletteSet::delta_plus_one(g);
+  const cli::PipelineRun run =
+      cli::run_pipeline("randreduce", g, palettes, {}, /*seed=*/9, false);
+  // The default seed gives another run on this graph, so matching the
+  // seed-9 run shows the 'seed' directive reaches randreduce.
+  ASSERT_NE(cli::run_pipeline("randreduce", g, palettes, {}, 1, false).rounds,
+            run.rounds);
+  const JsonValue doc = parse_json(read_file(report), "report");
+  const JsonValue* cells = doc.find("cells");
+  ASSERT_NE(cells, nullptr);
+  ASSERT_EQ(cells->items.size(), 2u);  // one cell per thread count
+  for (const JsonValue& cell : cells->items) {
+    EXPECT_EQ(cell.find("pipeline")->string_value, "randreduce");
+    EXPECT_EQ(cell.find("status")->string_value, "ok");
+    EXPECT_EQ(cell.find("rounds")->number, static_cast<double>(run.rounds));
+    EXPECT_EQ(cell.find("colors_used")->number,
+              static_cast<double>(cli::count_distinct_colors(run.coloring)));
+  }
+}
+
 TEST(CliDriver, SuiteSpecErrorsAreDataErrors) {
   const fs::path dir = test_dir();
   const fs::path spec = dir / "bad.spec";
@@ -496,6 +535,15 @@ TEST(CliDriver, StatsFlagRejectedForAlgosWithoutStats) {
   EXPECT_EQ(run_detcol("color --algo=greedy --n=50 --stats=/dev/null "
                        "2>/dev/null"),
             2);
+}
+
+TEST(CliDriver, UsageErrorsPrintTheHelpHint) {
+  const fs::path err = test_dir() / "stderr.txt";
+  EXPECT_EQ(run_detcol("color --n=50 --frobnicate=1 2>" + shq(err.string())),
+            2);
+  EXPECT_EQ(read_file(err),
+            "detcol: unknown flag --frobnicate\n"
+            "Run `detcol help` for usage.\n");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -144,6 +145,29 @@ TEST(FaultInjection, ColorInjectedOomAndCheckExitOne) {
                        "--quiet --out=/dev/null "
                        "--failpoints=lowspace.recurse@1:check"),
             1);
+}
+
+TEST(FaultInjection, ColorInjectedFailuresPrintOneLinePerClass) {
+  // main() maps each failure class to exit 1 and one stderr line.
+  const fs::path dir = test_dir();
+  const fs::path err = dir / "stderr.txt";
+  const auto run = [&](const char* action) {
+    EXPECT_EQ(run_detcol("color --gen=gnp --n=60 --seed=1 --quiet "
+                         "--out=/dev/null "
+                         "--failpoints=color_reduce.recurse@1:" +
+                         std::string(action) + " 2>" + shq(err.string())),
+              1)
+        << action;
+    return read_file(err);
+  };
+  const std::string site = "failpoint 'color_reduce.recurse' injected ";
+  EXPECT_EQ(run("oom"), "detcol: out of memory\n");
+  const std::string io = run("io");
+  EXPECT_EQ(io.rfind("detcol: I/O error: " + site + "I/O failure", 0), 0u)
+      << io;
+  EXPECT_EQ(std::count(io.begin(), io.end(), '\n'), 1) << io;
+  EXPECT_EQ(run("check"), "detcol: " + site + "CheckError\n");
+  EXPECT_EQ(run("timeout"), "detcol: " + site + "deadline expiry\n");
 }
 
 TEST(FaultInjection, EnvVarArmsAndFlagWins) {

@@ -1,12 +1,17 @@
 // Serving-layer unit tests: wire framing, request schema, the power-table
-// and instance LRU caches, shared-vs-private table bit-identity, and the
-// per-request thread-budget reporting contract. End-to-end server tests
+// and instance LRU caches, shared-vs-private table bit-identity, the
+// pipeline registry, coloring-file verifier and error taxonomy the server
+// shares with the CLI, and the per-request thread-budget reporting contract. End-to-end server tests
 // (real subprocess + socket) live in test_serve_e2e.cpp.
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstring>
+#include <exception>
+#include <new>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -19,6 +24,8 @@
 #include "serve/client.hpp"
 #include "serve/instance_store.hpp"
 #include "serve/protocol.hpp"
+#include "util/check.hpp"
+#include "util/deadline.hpp"
 #include "util/json.hpp"
 
 namespace detcol::serve {
@@ -392,6 +399,97 @@ TEST(ServeDeterminism, RepeatRunsThroughTheStoreHitTables) {
   // The warm run built nothing new: every table came from the store.
   EXPECT_EQ(inst.instance->tables().counters().misses, misses_after_first);
   EXPECT_GT(inst.instance->tables().counters().hits, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The pipeline registry and the error taxonomy every entry point shares.
+// ---------------------------------------------------------------------------
+
+TEST(PipelineRegistry, EveryRowColorsValidlyAndStatsFollowHasStats) {
+  const cli::GraphSource src = cli::build_graph(
+      cli::parse_spec("--gen=gnp --n=200 --p=0.05 --seed=4"),
+      /*allow_algo_seed=*/false);
+  const cli::PaletteSource pal =
+      cli::build_palettes(cli::parse_spec(""), src.graph);
+  const std::vector<std::string> names = {"reduce", "randreduce", "lowspace",
+                                          "mis",    "trial",      "greedy"};
+  for (const std::string& name : names) {
+    const cli::PipelineInfo* row = cli::find_pipeline(name);
+    ASSERT_NE(row, nullptr) << name;
+    EXPECT_EQ(row->name, name);
+    const cli::PipelineRun run = cli::run_pipeline(
+        name, src.graph, pal.palettes, {}, /*seed=*/3, /*want_stats=*/true);
+    EXPECT_TRUE(verify_coloring(src.graph, pal.palettes, run.coloring).ok)
+        << name;
+    EXPECT_EQ(!run.stats_json.empty(), row->has_stats) << name;
+  }
+  // The registry holds exactly these rows, in this order.
+  EXPECT_EQ(cli::pipeline_names(),
+            "reduce, randreduce, lowspace, mis, trial or greedy");
+  EXPECT_EQ(cli::pipeline_names(&cli::PipelineInfo::has_stats),
+            "reduce, randreduce, lowspace or mis");
+  EXPECT_EQ(cli::pipeline_names(&cli::PipelineInfo::threaded),
+            "reduce, randreduce, lowspace, mis or trial");
+  EXPECT_EQ(cli::pipeline_names(&cli::PipelineInfo::uses_seed),
+            "randreduce or trial");
+}
+
+TEST(PipelineRegistry, UnknownNameIsAUsageError) {
+  EXPECT_EQ(cli::find_pipeline("bogus"), nullptr);
+  EXPECT_EQ(cli::find_pipeline("colorreduce"), nullptr);  // suite-only alias
+  const Graph g = cli::build_graph(cli::parse_spec("--gen=ring --n=8"),
+                                   /*allow_algo_seed=*/false)
+                      .graph;
+  const PaletteSet palettes = PaletteSet::delta_plus_one(g);
+  EXPECT_THROW(cli::run_pipeline("bogus", g, palettes, {}, 1, false),
+               cli::UsageError);
+}
+
+TEST(VerifyColoringFile, ProperOnlyAlsoRequiresEveryNodeColored) {
+  // The check `detcol verify` and the server's verify op share.
+  const Graph g = cli::build_graph(cli::parse_spec("--gen=ring --n=4"),
+                                   /*allow_algo_seed=*/false)
+                      .graph;
+  cli::ColoringFile file;
+  file.coloring = Coloring(4);
+  file.coloring.color = {0, 1, 0, Coloring::kUncolored};
+  const VerifyResult partial = cli::verify_coloring_file(g, file, nullptr);
+  EXPECT_FALSE(partial.ok);
+  EXPECT_EQ(partial.issue, "coloring is incomplete (3 of 4 nodes colored)");
+  // Proper and complete passes proper-only; with palettes, color 5 lies
+  // outside ring's [Δ+1] = [0, 3).
+  file.coloring.color[3] = 5;
+  EXPECT_TRUE(cli::verify_coloring_file(g, file, nullptr).ok);
+  const PaletteSet palettes = PaletteSet::delta_plus_one(g);
+  EXPECT_FALSE(cli::verify_coloring_file(g, file, &palettes).ok);
+  file.coloring.color[3] = 1;
+  EXPECT_TRUE(cli::verify_coloring_file(g, file, &palettes).ok);
+}
+
+TEST(ErrorTaxonomy, ErrorInfoMapsEachExceptionToItsClass) {
+  const auto info = [](auto&& exception) {
+    return cli::error_info(std::make_exception_ptr(exception));
+  };
+  const struct {
+    cli::ErrorInfo got;
+    const char* error_class;
+    const char* message;
+  } cases[] = {
+      {info(cli::UsageError("bad flag")), "usage", "bad flag"},
+      {info(DeadlineExceeded("too slow")), "timeout", "too slow"},
+      {info(CheckError("bad data")), "check", "bad data"},
+      {info(std::bad_alloc()), "oom", "allocation failure"},
+      {info(std::runtime_error("other")), "internal", "other"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.got.error_class, c.error_class) << c.message;
+    EXPECT_EQ(c.got.message, c.message);
+  }
+  const std::system_error io(std::make_error_code(std::errc::io_error),
+                             "disk");
+  const cli::ErrorInfo got = info(io);
+  EXPECT_EQ(got.error_class, "io");
+  EXPECT_EQ(got.message, io.what());
 }
 
 TEST(ServeBudget, BudgetIsReportedVerbatimEvenAbovePoolWidth) {

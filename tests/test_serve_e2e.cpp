@@ -386,6 +386,29 @@ TEST(ServeE2E, CliUsageErrorsSurfaceAsExitTwo) {
             1);
 }
 
+TEST(ServeE2E, CliFlagMisuseFailsTheSameWithAndWithoutServer) {
+  const fs::path dir = test_dir();
+  const fs::path sock = dir / "s.sock";
+  const fs::path err = dir / "stderr.txt";
+  ServerGuard server(sock, {});
+  const auto run = [&](const std::string& flags) {
+    EXPECT_EQ(run_detcol(std::string("color ") + kGraph + " --quiet " + flags +
+                         " 2>" + shq(err.string())),
+              2)
+        << flags;
+    return read_file(err);
+  };
+  for (const std::string& misuse :
+       {"--algo=greedy --stats=" + shq((dir / "s.json").string()),
+        std::string("--algo=greedy --threads=2")}) {
+    const std::string local = run(misuse);
+    EXPECT_NE(local.find("Run `detcol help` for usage."), std::string::npos)
+        << local;
+    EXPECT_EQ(run(misuse + " --server=" + shq(sock.string())), local);
+  }
+  run("--algo=bogus --server=" + shq(sock.string()));
+}
+
 TEST(ServeE2E, SuiteServerDirectiveRunsCellsRemotely) {
   const fs::path dir = test_dir();
   const fs::path sock = dir / "s.sock";
