@@ -1,4 +1,5 @@
-// Ablation study of the design choices DESIGN.md calls out:
+// Ablation study of the constants "Deviations from the paper" in
+// docs/ARCHITECTURE.md calls out:
 //   A1 — hash-family independence c (Lemma 2.2 needs c >= 4; what do lower/
 //        higher values do to partition quality and seed-search effort?)
 //   A2 — collect threshold (the "size O(n)" constant of Algorithm 1):

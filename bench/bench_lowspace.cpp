@@ -94,7 +94,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nPaper prediction: rounds grow with log(Delta) (the MIS term) and\n"
       "are nearly flat in n; our MIS substitute (derandomized Luby, see\n"
-      "DESIGN.md) carries a log(conflict-edges) phase count, so the n-term\n"
-      "is log n rather than [7]'s log log n — same Delta shape.\n");
+      "\"Deviations from the paper\" in docs/ARCHITECTURE.md) carries a\n"
+      "log(conflict-edges) phase count, so the n-term is log n rather\n"
+      "than [7]'s log log n — same Delta shape.\n");
   return 0;
 }

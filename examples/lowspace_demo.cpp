@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nmodel cost breakdown:\n%s", r.ledger.summary().c_str());
   std::printf("\nRounds are dominated by the MIS phases — the paper's\n"
-              "O(log Delta + log log n) term (see DESIGN.md for the MIS\n"
-              "substitution note).\n");
+              "O(log Delta + log log n) term (see \"Deviations from the\n"
+              "paper\" in docs/ARCHITECTURE.md for the MIS substitution).\n");
   return 0;
 }

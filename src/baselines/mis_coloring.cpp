@@ -1,5 +1,6 @@
 #include "baselines/mis_coloring.hpp"
 
+#include <numeric>
 #include <vector>
 
 #include "util/check.hpp"
@@ -11,12 +12,9 @@ MisBaselineResult mis_baseline_color(const Graph& g,
                                      const MisParams& params,
                                      std::uint64_t salt) {
   MisBaselineResult r(g.num_nodes());
-  std::vector<std::vector<Color>> pals(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto span = palettes.palette(v);
-    pals[v].assign(span.begin(), span.end());
-  }
-  MisColorResult mis = mis_list_color(g, pals, params, salt);
+  std::vector<NodeId> orig(g.num_nodes());
+  std::iota(orig.begin(), orig.end(), NodeId{0});
+  MisColorResult mis = mis_list_color(g, orig, palettes, params, salt);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     DC_CHECK(mis.color[v] != Coloring::kUncolored, "MIS left node ", v);
     r.coloring.color[v] = mis.color[v];

@@ -73,7 +73,8 @@ void finish(const Instance& inst, const PaletteSet& palettes,
         // Belt and braces: a "good" node must actually be recursively
         // colorable — its restricted palette must exceed its bin degree.
         // Lemma 3.2 guarantees this at the paper's asymptotic scale; at
-        // laptop scale we enforce it directly (see DESIGN.md §2).
+        // laptop scale we enforce it directly (see "Deviations from the
+        // paper" in docs/ARCHITECTURE.md).
         if (good && pprime <= dprime) {
           good = false;
           ++part.reclassified;

@@ -7,8 +7,9 @@
 // The model's method of conditional expectations fixes delta*log(n)-bit
 // chunks, aggregating per-machine conditional expectations via O(1)-round
 // prefix sums (free *local* computation makes exact conditional expectations
-// affordable in the model, but not on a laptop — see DESIGN.md §2). We ship
-// three interchangeable strategies, all deterministic end-to-end:
+// affordable in the model, but not on a laptop — see "Deviations from the
+// paper" in docs/ARCHITECTURE.md). We ship three interchangeable
+// strategies, all deterministic end-to-end:
 //
 //  * kThresholdScan — enumerate seeds in a fixed order, evaluate q exactly,
 //    stop at q <= tau. E[q] <= Q and Markov make success quick on random-like

@@ -13,7 +13,8 @@
 
 namespace detcol {
 
-/// Erdős–Rényi G(n, p). O(n²) Bernoulli draws; requires p in [0, 1].
+/// Erdős–Rényi G(n, p) by geometric skipping over the node pairs: O(n + m)
+/// random draws, then from_edges' sort; requires p in [0, 1].
 Graph gen_gnp(NodeId n, double p, std::uint64_t seed);
 
 /// G(n, m): exactly m distinct uniform edges. Requires m <= n(n-1)/2.

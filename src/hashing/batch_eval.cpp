@@ -1,29 +1,36 @@
 #include "hashing/batch_eval.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace detcol {
 
 M61PowerTable::M61PowerTable(std::span<const std::uint64_t> points,
-                             unsigned independence)
+                             unsigned independence, ExecContext exec)
     : c_(independence), n_(points.size()) {
   DC_CHECK(independence >= 1, "hash needs at least one coefficient");
   DC_CHECK(independence <= 64, "independence beyond 64 is unsupported");
   const FieldKernel& kernel = active_field_kernel();
-  pow_.resize(static_cast<std::size_t>(c_) * n_);
-  for (std::size_t i = 0; i < n_; ++i) pow_[i] = 1;  // x^0
-  if (c_ > 1) {
-    // Row 1 is the reduced points themselves (x^1 = m61_reduce(x), exactly
-    // the m61_mul(1, m61_reduce(x)) the row recurrence would compute); each
-    // later row multiplies the previous one by row 1 element-wise.
-    std::uint64_t* x1 = pow_.data() + n_;
-    kernel.reduce_row(x1, points.data(), 0, n_);
-    for (unsigned j = 2; j < c_; ++j) {
-      const std::uint64_t* prev = pow_.data() + (j - 1) * n_;
-      std::uint64_t* r = pow_.data() + static_cast<std::size_t>(j) * n_;
-      kernel.mul_rows(r, prev, x1, 0, n_);
-    }
-  }
+  // Left uninitialized: each shard writes its own columns of every row.
+  pow_ = std::make_unique_for_overwrite<std::uint64_t[]>(
+      static_cast<std::size_t>(c_) * n_);
+  parallel_for_shards(
+      exec, n_, [&](std::size_t, std::size_t begin, std::size_t end) {
+        std::fill(pow_.get() + begin, pow_.get() + end, 1);  // x^0
+        if (c_ == 1) return;
+        // Row 1 is the reduced points themselves (x^1 = m61_reduce(x),
+        // exactly the m61_mul(1, m61_reduce(x)) the row recurrence would
+        // compute); each later row multiplies the previous one by row 1
+        // element-wise.
+        std::uint64_t* x1 = pow_.get() + n_;
+        kernel.reduce_row(x1, points.data(), begin, end);
+        for (unsigned j = 2; j < c_; ++j) {
+          kernel.mul_rows(pow_.get() + static_cast<std::size_t>(j) * n_,
+                          pow_.get() + static_cast<std::size_t>(j - 1) * n_,
+                          x1, begin, end);
+        }
+      });
 }
 
 bool M61PowerTable::matches(std::span<const std::uint64_t> points,
@@ -39,9 +46,9 @@ bool M61PowerTable::matches(std::span<const std::uint64_t> points,
 
 std::shared_ptr<const M61PowerTable> acquire_power_table(
     PowerTableProvider* provider, std::span<const std::uint64_t> points,
-    unsigned independence) {
+    unsigned independence, ExecContext exec) {
   if (provider != nullptr) return provider->acquire(points, independence);
-  return std::make_shared<M61PowerTable>(points, independence);
+  return std::make_shared<M61PowerTable>(points, independence, exec);
 }
 
 BatchKWiseEval::BatchKWiseEval(std::span<const std::uint64_t> points,

@@ -46,12 +46,15 @@ namespace detcol {
 /// makes cross-request sharing safe.
 class M61PowerTable {
  public:
-  M61PowerTable(std::span<const std::uint64_t> points, unsigned independence);
+  /// The construction shards over `exec` (static shard boundaries; every
+  /// element is computed by the same kernel op either way).
+  M61PowerTable(std::span<const std::uint64_t> points, unsigned independence,
+                ExecContext exec = {});
 
   std::size_t num_points() const { return n_; }
   unsigned independence() const { return c_; }
-  const std::uint64_t* row(unsigned j) const { return pow_.data() + j * n_; }
-  std::size_t bytes() const { return pow_.size() * sizeof(std::uint64_t); }
+  const std::uint64_t* row(unsigned j) const { return pow_.get() + j * n_; }
+  std::size_t bytes() const { return c_ * n_ * sizeof(std::uint64_t); }
 
   /// True iff this table is exactly the one (points, independence) would
   /// build: same independence, same count, and every reduced point matches
@@ -64,7 +67,7 @@ class M61PowerTable {
  private:
   unsigned c_;
   std::size_t n_;
-  std::vector<std::uint64_t> pow_;
+  std::unique_ptr<std::uint64_t[]> pow_;  // c_ rows of n_ points
 };
 
 /// Source of shared power tables. acquire() must return a table for exactly
@@ -80,10 +83,11 @@ class PowerTableProvider {
       std::span<const std::uint64_t> points, unsigned independence) = 0;
 };
 
-/// Build a table directly when `provider` is null, else route through it.
+/// Build a table directly (sharded over `exec`) when `provider` is null,
+/// else route through it.
 std::shared_ptr<const M61PowerTable> acquire_power_table(
     PowerTableProvider* provider, std::span<const std::uint64_t> points,
-    unsigned independence);
+    unsigned independence, ExecContext exec = {});
 
 class BatchKWiseEval {
  public:

@@ -170,17 +170,13 @@ class LsDriver {
   /// Color an all-low-degree instance through the MIS reduction. The MIS
   /// call carries the driver's model, so the reduction graph it builds is
   /// contract-checked and charged into its own cost block exactly once —
-  /// merged here into the branch state.
+  /// merged here into the branch state. The reduction borrows this branch's
+  /// palette rows for the call (the lifetime rule in lowspace/reduction.hpp).
   void color_via_mis(const LsInstance& inst, std::uint64_t salt,
                      LsRunState& st) {
     if (inst.n() == 0) return;
-    std::vector<std::vector<Color>> pals(inst.n());
-    for (NodeId v = 0; v < inst.n(); ++v) {
-      const auto span = pal_.palette(inst.orig[v]);
-      pals[v].assign(span.begin(), span.end());
-    }
-    MisColorResult mis =
-        mis_list_color(inst.graph, pals, p_.mis, salt, &mpc_model_);
+    MisColorResult mis = mis_list_color(inst.graph, inst.orig, pal_, p_.mis,
+                                        salt, &mpc_model_);
     for (NodeId v = 0; v < inst.n(); ++v) {
       DC_CHECK(mis.color[v] != Coloring::kUncolored, "MIS left a node");
       std::atomic_ref<Color>(result_.coloring.color[inst.orig[v]])

@@ -7,7 +7,8 @@
 // reduction (Section 4.1). The derandomized seed selection enforces the
 // Lemma 4.5 guarantees (d' < 2d/b + slack, and d' < p' on color bins);
 // nodes violating them under the chosen seed are diverted to G0 as well,
-// which preserves correctness unconditionally (see DESIGN.md §2).
+// which preserves correctness unconditionally (see "Deviations from the
+// paper" in docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cstdint>

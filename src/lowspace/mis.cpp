@@ -11,20 +11,26 @@
 namespace detcol {
 namespace {
 
-struct PhaseOutcome {
-  std::vector<std::uint64_t> joined;   // reduction vertices entering the MIS
-  std::uint64_t removed_edges = 0;     // conflict edges deleted by the phase
-};
-
 struct MisState {
   const ReductionGraph* r;
   std::vector<char> active;            // per reduction vertex
   std::vector<Color> color;            // per node, kUncolored until joined
   std::uint64_t remaining_edges = 0;
   std::uint64_t uncolored = 0;         // tracked incrementally per phase
-
-  bool vertex_active(std::uint64_t x) const { return active[x] != 0; }
 };
+
+/// One simulated phase under the engine's loaded seed. The per-vertex marks
+/// are scratch reused across seeds; they are valid at the active vertices
+/// (all of an uncolored node's vertices are rewritten by every simulation,
+/// and a colored node has no active vertex).
+struct PhaseSim {
+  std::vector<char> joined;           // per vertex: enters the MIS
+  std::vector<char> removed;          // per vertex: leaves the graph
+  std::uint64_t num_joined = 0;
+  std::uint64_t removed_edges = 0;    // conflict edges deleted by the phase
+};
+
+constexpr auto add = [](std::uint64_t a, std::uint64_t b) { return a + b; };
 
 /// Priority of vertex x under the loaded phase seed: field value with id
 /// tiebreak.
@@ -34,29 +40,28 @@ inline std::pair<std::uint64_t, std::uint64_t> priority(
 }
 
 /// Simulate one Luby phase under the engine's loaded seed without mutating
-/// the state. Both heavy passes — the per-node join resolution and the
-/// removed-edge count — shard over the engine's ExecContext; the join lists
-/// fold in shard-index order, so the outcome matches the serial node-order
-/// walk bit for bit at any thread count.
-PhaseOutcome simulate_phase(const MisState& st, const MisPhaseEngine& eng) {
+/// the state: three sharded per-node passes over the engine's ExecContext
+/// (joins, then removal marks, then the removed-edge count), each reading
+/// only what the previous one finished writing. Every mark has one writer
+/// and the counts are shard-ordered integer sums, so the outcome is
+/// bit-identical for every thread count.
+void simulate_phase(const MisState& st, const MisPhaseEngine& eng,
+                    PhaseSim& sim) {
   const ReductionGraph& r = *st.r;
-  PhaseOutcome out;
-  out.joined = parallel_reduce_shards(
-      eng.exec(), r.num_nodes(), std::vector<std::uint64_t>{},
+  sim.num_joined = parallel_reduce_shards(
+      eng.exec(), r.num_nodes(), std::uint64_t{0},
       [&](std::size_t, std::size_t begin, std::size_t end) {
-        std::vector<std::uint64_t> joined;
-        for (std::size_t i = begin; i < end; ++i) {
-          const NodeId v = static_cast<NodeId>(i);
+        std::uint64_t joins = 0;
+        for (std::size_t v = begin; v < end; ++v) {
           if (st.color[v] != Coloring::kUncolored) continue;
           // Clique candidate: the active palette position with minimum
           // priority.
           std::uint64_t best = ~std::uint64_t{0};
           std::pair<std::uint64_t, std::uint64_t> best_pri{~std::uint64_t{0},
                                                            ~std::uint64_t{0}};
-          const std::uint64_t lo = r.base[v];
-          const std::uint64_t hi = lo + r.palettes[v].size();
-          for (std::uint64_t x = lo; x < hi; ++x) {
-            if (!st.vertex_active(x)) continue;
+          for (std::uint64_t x = r.base[v]; x < r.base[v + 1]; ++x) {
+            sim.joined[x] = 0;
+            if (st.active[x] == 0) continue;
             const auto pri = priority(eng, x);
             if (pri < best_pri) {
               best_pri = pri;
@@ -68,98 +73,112 @@ PhaseOutcome simulate_phase(const MisState& st, const MisPhaseEngine& eng) {
           // The candidate joins iff it beats every *active* conflict
           // neighbor.
           bool wins = true;
-          for (const std::uint64_t y : r.conflicts[best]) {
-            if (st.vertex_active(y) && priority(eng, y) < best_pri) {
+          for (const std::uint64_t y : r.conflicts(best)) {
+            if (st.active[y] != 0 && priority(eng, y) < best_pri) {
               wins = false;
               break;
             }
           }
-          if (wins) joined.push_back(best);
+          if (wins) {
+            sim.joined[best] = 1;
+            ++joins;
+          }
         }
-        return joined;
+        return joins;
       },
-      [](std::vector<std::uint64_t> acc, std::vector<std::uint64_t> part) {
-        acc.insert(acc.end(), part.begin(), part.end());
-        return acc;
-      });
+      add);
 
-  // Mark removals: the joiner's whole clique plus its conflict neighbors.
-  std::vector<char> removed(r.num_vertices, 0);
-  for (const std::uint64_t x : out.joined) {
-    const NodeId v = r.node_of(x);
-    const std::uint64_t lo = r.base[v];
-    const std::uint64_t hi = lo + r.palettes[v].size();
-    for (std::uint64_t y = lo; y < hi; ++y) {
-      if (st.vertex_active(y)) removed[y] = 1;
+  // Removal marks, pulled per vertex: an active vertex leaves iff its node
+  // joins or one of its active conflict neighbors joins.
+  parallel_for_shards(eng.exec(), r.num_nodes(), [&](std::size_t,
+                                                     std::size_t begin,
+                                                     std::size_t end) {
+    for (std::size_t v = begin; v < end; ++v) {
+      if (st.color[v] != Coloring::kUncolored) continue;
+      const std::uint64_t lo = r.base[v];
+      const std::uint64_t hi = r.base[v + 1];
+      const bool node_joins =
+          std::find(sim.joined.begin() + lo, sim.joined.begin() + hi, 1) !=
+          sim.joined.begin() + hi;
+      for (std::uint64_t x = lo; x < hi; ++x) {
+        if (st.active[x] == 0) continue;
+        const auto nbrs = r.conflicts(x);
+        sim.removed[x] =
+            node_joins || std::any_of(nbrs.begin(), nbrs.end(),
+                                      [&](std::uint64_t y) {
+                                        return st.active[y] != 0 &&
+                                               sim.joined[y] != 0;
+                                      });
+      }
     }
-    for (const std::uint64_t y : r.conflicts[x]) {
-      if (st.vertex_active(y)) removed[y] = 1;
-    }
-  }
+  });
+
   // Count conflict edges losing at least one endpoint (pure reads of the
-  // finished removal marks: an integer shard sum).
-  out.removed_edges = parallel_reduce_shards(
-      eng.exec(), r.num_vertices, std::uint64_t{0},
+  // finished removal marks).
+  sim.removed_edges = parallel_reduce_shards(
+      eng.exec(), r.num_nodes(), std::uint64_t{0},
       [&](std::size_t, std::size_t begin, std::size_t end) {
         std::uint64_t cnt = 0;
-        for (std::size_t x = begin; x < end; ++x) {
-          if (!removed[x]) continue;
-          for (const std::uint64_t y : r.conflicts[x]) {
-            if (!st.vertex_active(y)) continue;
-            if (removed[y] && y < x) continue;  // counted at the smaller id
-            ++cnt;
+        for (std::size_t v = begin; v < end; ++v) {
+          if (st.color[v] != Coloring::kUncolored) continue;
+          for (std::uint64_t x = r.base[v]; x < r.base[v + 1]; ++x) {
+            if (st.active[x] == 0 || sim.removed[x] == 0) continue;
+            for (const std::uint64_t y : r.conflicts(x)) {
+              if (st.active[y] == 0) continue;
+              if (sim.removed[y] != 0 && y < x) continue;  // counted at y
+              ++cnt;
+            }
           }
         }
         return cnt;
       },
-      [](std::uint64_t acc, std::uint64_t part) { return acc + part; });
-  return out;
+      add);
 }
 
 /// Apply a simulated phase: color joiners, deactivate removed vertices,
-/// maintain the remaining-edge and uncolored counts.
-void apply_phase(MisState& st, const PhaseOutcome& out) {
+/// maintain the remaining-edge and uncolored counts. Sharded per node; each
+/// shard writes only its own nodes' colors and vertices.
+void apply_phase(MisState& st, const PhaseSim& sim, ExecContext exec) {
   const ReductionGraph& r = *st.r;
-  std::vector<std::uint64_t> to_remove;
-  for (const std::uint64_t x : out.joined) {
-    const NodeId v = r.node_of(x);
-    st.color[v] = r.palettes[v][x - r.base[v]];
-    --st.uncolored;
-    const std::uint64_t lo = r.base[v];
-    const std::uint64_t hi = lo + r.palettes[v].size();
-    for (std::uint64_t y = lo; y < hi; ++y) {
-      if (st.vertex_active(y)) to_remove.push_back(y);
-    }
-    for (const std::uint64_t y : r.conflicts[x]) {
-      if (st.vertex_active(y)) to_remove.push_back(y);
-    }
-  }
-  std::sort(to_remove.begin(), to_remove.end());
-  to_remove.erase(std::unique(to_remove.begin(), to_remove.end()),
-                  to_remove.end());
-  st.remaining_edges -= out.removed_edges;
-  for (const std::uint64_t y : to_remove) st.active[y] = 0;
+  st.uncolored -= parallel_reduce_shards(
+      exec, r.num_nodes(), std::uint64_t{0},
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        std::uint64_t colored = 0;
+        for (std::size_t v = begin; v < end; ++v) {
+          if (st.color[v] != Coloring::kUncolored) continue;
+          for (std::uint64_t x = r.base[v]; x < r.base[v + 1]; ++x) {
+            if (st.active[x] == 0) continue;
+            if (sim.joined[x] != 0) {
+              st.color[v] = r.palettes[v][x - r.base[v]];
+              ++colored;
+            }
+            if (sim.removed[x] != 0) st.active[x] = 0;
+          }
+        }
+        return colored;
+      },
+      add);
+  st.remaining_edges -= sim.removed_edges;
 }
 
-}  // namespace
-
-MisColorResult mis_list_color(
-    const Graph& g, const std::vector<std::vector<Color>>& palettes,
-    const MisParams& params, std::uint64_t salt, const MpcModel* model) {
+/// The MIS loop on a built reduction of `g`.
+MisColorResult solve(const Graph& g, const ReductionGraph& r,
+                     const MisParams& params, std::uint64_t salt,
+                     const MpcModel* model) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    DC_CHECK(palettes[v].size() > g.degree(v),
+    // The reduction truncated to deg+1, so p(v) > d(v) iff nothing is short.
+    DC_CHECK(r.palettes[v].size() > g.degree(v),
              "MIS reduction needs p(v) > d(v) at node ", v);
   }
-  const ReductionGraph r = build_reduction(g, palettes);
   MisState st{&r,
               std::vector<char>(r.num_vertices, 1),
               std::vector<Color>(g.num_nodes(), Coloring::kUncolored),
               r.num_conflict_edges,
               g.num_nodes()};
+  PhaseSim sim{std::vector<char>(r.num_vertices),
+               std::vector<char>(r.num_vertices)};
 
   MisColorResult result;
-  result.color.assign(g.num_nodes(), Coloring::kUncolored);
-
   const unsigned c = params.independence;
   const unsigned bits = KWiseHash::seed_bits(c);
   MisPhaseEngine engine(r.num_vertices, c, params.exec, params.tables);
@@ -177,24 +196,23 @@ MisColorResult mis_list_color(
                                                params.removal_fraction));
     // One simulation per *distinct* loaded seed: the state is fixed for the
     // whole phase, so when the selected seed was the last one evaluated (or
-    // a candidate repeats under the enumeration), the cached outcome is
+    // a candidate repeats under the enumeration), the marks in `sim` are
     // reused instead of re-simulating.
-    PhaseOutcome sim;
     bool sim_valid = false;
-    const auto simulate = [&]() -> const PhaseOutcome& {
+    const auto simulate = [&]() -> const PhaseSim& {
       if (!sim_valid) {
-        sim = simulate_phase(st, engine);
+        simulate_phase(st, engine, sim);
         sim_valid = true;
       }
       return sim;
     };
     const auto cost = [&](const SeedBits& s) {
       if (engine.load(s)) sim_valid = false;
-      const PhaseOutcome& out = simulate();
+      const PhaseSim& out = simulate();
       // Cost: edges left after the phase; joining progress breaks zero-edge
       // ties so the final conflict-free phases still advance.
       return static_cast<double>(remaining - out.removed_edges) -
-             (out.joined.empty() ? 0.0 : 0.5);
+             (out.num_joined == 0 ? 0.0 : 0.5);
     };
     const SeedSelectResult sel =
         select_seed(bits, cost, target, params.seed,
@@ -210,10 +228,10 @@ MisColorResult mis_list_color(
                              r.num_vertices);
 
     if (engine.load(sel.seed)) sim_valid = false;
-    apply_phase(st, simulate());
+    apply_phase(st, simulate(), params.exec);
     ++result.phases;
   }
-  result.color = st.color;
+  result.color = std::move(st.color);
   // Residency of the reduction graph (Section 4.1's space bound): checked
   // against the caller's model when one is supplied, recorded raw otherwise.
   if (model != nullptr) {
@@ -224,6 +242,23 @@ MisColorResult mis_list_color(
     result.mpc.note_resident(r.size_words(), r.size_words());
   }
   return result;
+}
+
+}  // namespace
+
+MisColorResult mis_list_color(const Graph& g, std::span<const NodeId> orig,
+                              const PaletteSet& palettes,
+                              const MisParams& params, std::uint64_t salt,
+                              const MpcModel* model) {
+  return solve(g, build_reduction(g, orig, palettes, params.exec), params,
+               salt, model);
+}
+
+MisColorResult mis_list_color(
+    const Graph& g, const std::vector<std::vector<Color>>& palettes,
+    const MisParams& params, std::uint64_t salt, const MpcModel* model) {
+  return solve(g, build_reduction(g, palettes, params.exec), params, salt,
+               model);
 }
 
 }  // namespace detcol

@@ -1,21 +1,24 @@
 // Deterministic (derandomized-Luby) MIS on the coloring reduction graph.
 //
 // Stand-in for the CDP SPAA'20 MIS [7] that Theorem 1.4 consumes (see
-// DESIGN.md §2): per phase, c-wise independent priorities are drawn from a
-// seed chosen deterministically so that at least a constant fraction of the
-// remaining conflict edges is removed (Luby's analysis needs only pairwise
-// independence, so the expectation bound survives derandomization). A
-// reduction-graph vertex (v,c) joins the MIS when it has the smallest
-// priority within its implicit clique and among its active conflict
-// neighbors; joining colors node v with c.
+// "Deviations from the paper" in docs/ARCHITECTURE.md): per phase, c-wise
+// independent priorities are drawn from a seed chosen deterministically so
+// that at least a constant fraction of the remaining conflict edges is
+// removed (Luby's analysis needs only pairwise independence, so the
+// expectation bound survives derandomization). A reduction-graph vertex
+// (v,c) joins the MIS when it has the smallest priority within its implicit
+// clique and among its active conflict neighbors; joining colors node v
+// with c.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "derand/strategies.hpp"
 #include "exec/exec.hpp"
 #include "graph/coloring.hpp"
+#include "graph/palette.hpp"
 #include "lowspace/reduction.hpp"
 #include "sim/ledger.hpp"
 #include "sim/mpc_costs.hpp"
@@ -60,11 +63,19 @@ struct MisColorResult {
   MpcCosts mpc;
 };
 
-/// Solve list coloring of `g` (local ids, palettes[v] sorted, strictly larger
-/// than deg(v)) via the MIS reduction. Deterministic; `salt` namespaces the
-/// seed enumeration. `model`, if non-null, contract-checks the reduction
-/// graph's footprint against its space bounds (the low-space driver passes
-/// its own model; the standalone baseline passes none).
+/// Solve list coloring of `g` (local ids; node v's palette is
+/// palettes.palette(orig[v]), sorted and strictly larger than deg(v)) via
+/// the MIS reduction, which borrows those rows for the call
+/// (lowspace/reduction.hpp). Deterministic; `salt` namespaces the seed
+/// enumeration. `model`, if non-null, contract-checks the reduction graph's
+/// footprint against its space bounds (the low-space driver passes its own
+/// model; the standalone baseline passes none).
+MisColorResult mis_list_color(const Graph& g, std::span<const NodeId> orig,
+                              const PaletteSet& palettes,
+                              const MisParams& params, std::uint64_t salt,
+                              const MpcModel* model = nullptr);
+
+/// Same with node v's palette in palettes[v].
 MisColorResult mis_list_color(const Graph& g,
                               const std::vector<std::vector<Color>>& palettes,
                               const MisParams& params, std::uint64_t salt,

@@ -158,7 +158,7 @@ MisPhaseEngine::MisPhaseEngine(std::uint64_t num_vertices,
                                PowerTableProvider* tables)
     : c_(independence),
       eval_(acquire_power_table(tables, iota_points(num_vertices),
-                                independence),
+                                independence, exec),
             /*range=*/1),
       exec_(exec) {}
 

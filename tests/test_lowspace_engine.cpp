@@ -19,6 +19,8 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
+#include <optional>
+#include <string>
 
 #include "baselines/random_trial.hpp"
 #include "core/stats_export.hpp"
@@ -470,6 +472,62 @@ TEST(ParallelInvariance, MisBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(r.seed_evaluations, base.seed_evaluations) << t << " threads";
     EXPECT_EQ(ledger_to_json(r.ledger), base_ledger) << t << " threads";
     EXPECT_EQ(mpc_costs_to_json(r.mpc), base_mpc) << t << " threads";
+  }
+}
+
+TEST(ParallelInvariance, MisShardedAtScale) {
+  // n = 2^13 is four node shards at the default grain (the cases above fit
+  // in one), and (deg+1)-lists from 2^8 colors give ~50k conflict edges
+  // over ~80k reduction vertices. removal_fraction = 1 asks every phase to
+  // remove every conflict edge, so each seed search spends its budget and
+  // the selected seed is simulated again before it is applied.
+  // Fingerprints were captured from the nested-vector reduction layout.
+  const Graph g = gen_gnp(1u << 13, 12.0 / 8191, 17);
+  const PaletteSet pal = PaletteSet::deg_plus_one_lists(g, 1u << 8, 5);
+  std::vector<NodeId> orig(g.num_nodes());
+  std::iota(orig.begin(), orig.end(), NodeId{0});
+  struct Case {
+    std::uint64_t removal_fraction;
+    std::uint64_t want_colorhash;
+    unsigned want_phases;
+    std::uint64_t want_evals;
+    const char* want_ledger;
+  };
+  const Case cases[] = {
+      {16, 3137672151412708949ULL, 3, 3,
+       R"({"total_rounds":207,"total_words":343110,"phases":{"mis-phase":)"
+       R"({"rounds":12,"words":318534},"mis-seed":{"rounds":195,)"
+       R"("words":24576}}})"},
+      {1, 17664755818422763492ULL, 2, 65,
+       R"({"total_rounds":138,"total_words":228740,"phases":{"mis-phase":)"
+       R"({"rounds":8,"words":212356},"mis-seed":{"rounds":130,)"
+       R"("words":16384}}})"},
+  };
+  for (const Case& cs : cases) {
+    const std::string want_mpc =
+        R"({"peak_local_words":180704,"peak_total_words":180704,)"
+        R"("num_sorts":0,"num_prefix_sums":0,"num_routes":0,)"
+        R"("num_gathers":0,"num_broadcasts":0,"num_aggregates":0,)"
+        R"("num_collects":0,"ledger":)" +
+        std::string(cs.want_ledger) + "}";
+    for (const unsigned t : {0u, 1u, 2u, 4u, 7u}) {  // 0 = sequential
+      MisParams params;
+      params.removal_fraction = cs.removal_fraction;
+      std::optional<ThreadPool> pool;
+      if (t > 0) params.exec = ExecContext(pool.emplace(t));
+      const auto r = mis_list_color(g, orig, pal, params, 11);
+      const std::string where = "removal_fraction " +
+                                std::to_string(cs.removal_fraction) + " @ " +
+                                std::to_string(t) + " threads";
+      Coloring coloring(g.num_nodes());
+      coloring.color = r.color;
+      EXPECT_TRUE(verify_coloring(g, pal, coloring).ok) << where;
+      EXPECT_EQ(hash_colors(r.color), cs.want_colorhash) << where;
+      EXPECT_EQ(r.phases, cs.want_phases) << where;
+      EXPECT_EQ(r.seed_evaluations, cs.want_evals) << where;
+      EXPECT_EQ(ledger_to_json(r.ledger), cs.want_ledger) << where;
+      EXPECT_EQ(mpc_costs_to_json(r.mpc), want_mpc) << where;
+    }
   }
 }
 
