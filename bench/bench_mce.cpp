@@ -12,11 +12,7 @@
 // written machine-readable to BENCH_seed_eval.json (see README) so future
 // PRs have a perf baseline. Flags: --eval-n, --eval-deg, --eval-evals,
 // --json=PATH (empty path skips the file).
-// Part 5: thread scaling — end-to-end ColorReduce wall-clock at a matrix of
-// pool sizes, asserting bit-identical results; written to
-// BENCH_parallel.json. Flags: --scale-n, --scale-deg, --scale-threads,
-// --parallel-json=PATH (empty path skips the file).
-// Part 6: the low-space layer's seed search — naive per-candidate violator
+// Part 5: the low-space layer's seed search — naive per-candidate violator
 // recomputation vs the batched LowSpaceSeedEngine on the sampled-MCE
 // stream, plus end-to-end LowSpaceColorReduce thread scaling (bit-identical
 // asserted); written to BENCH_lowspace.json. Flags: --ls-n, --ls-deg,
@@ -32,7 +28,6 @@
 #include <cmath>
 
 #include "core/classify.hpp"
-#include "core/color_reduce.hpp"
 #include "core/partition.hpp"
 #include "core/seed_eval.hpp"
 #include "exec/exec.hpp"
@@ -294,97 +289,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Part 5 (F2e): thread scaling of end-to-end ColorReduce. Sibling color
-  // bins recurse as pool tasks and the seed search shards per-node passes;
-  // results must be bit-identical at every pool size, so the run doubles as
-  // a large-instance invariance check.
-  {
-    const NodeId sn = static_cast<NodeId>(args.get_uint("scale-n", 1u << 14));
-    const NodeId sdeg = static_cast<NodeId>(args.get_uint("scale-deg", 32));
-    const auto thread_list = args.get_uint_list("scale-threads", {1, 2, 4});
-    const std::string pjson =
-        args.get_string("parallel-json", "BENCH_parallel.json");
-
-    const Graph gs = gen_random_regular(sn, sdeg, 11);
-    const PaletteSet pals = PaletteSet::delta_plus_one(gs);
-    struct ScaleRun {
-      std::uint64_t threads = 0;
-      double seconds = 0.0;
-      std::uint64_t rounds = 0;
-      std::uint64_t colorhash = 0;
-    };
-    std::vector<ScaleRun> runs;
-    for (const std::uint64_t t : thread_list) {
-      std::optional<ThreadPool> pool;
-      ColorReduceConfig cfg;
-      if (t > 1) {
-        pool.emplace(static_cast<unsigned>(t));
-        cfg.exec = ExecContext(*pool);
-      }
-      WallTimer wt;
-      const auto r = color_reduce(gs, pals, cfg);
-      ScaleRun run;
-      run.threads = t;
-      run.seconds = wt.seconds();
-      run.rounds = r.ledger.total_rounds();
-      run.colorhash = 0xcbf29ce484222325ULL;
-      for (NodeId v = 0; v < gs.num_nodes(); ++v) {
-        run.colorhash ^= r.coloring.color[v];
-        run.colorhash *= 0x100000001B3ULL;
-      }
-      if (!runs.empty()) {
-        DC_CHECK(run.colorhash == runs.front().colorhash &&
-                     run.rounds == runs.front().rounds,
-                 "thread count changed the result — determinism contract "
-                 "violated");
-      }
-      runs.push_back(run);
-    }
-
-    // Speedup baseline: the 1-thread run wherever it appears in the list
-    // (the list order is user-chosen), falling back to the first run.
-    double base_seconds = runs.front().seconds;
-    for (const auto& run : runs) {
-      if (run.threads == 1) base_seconds = run.seconds;
-    }
-    Table t5({"threads", "seconds", "speedup vs 1 thread"});
-    for (const auto& run : runs) {
-      t5.row()
-          .cell(run.threads)
-          .cell(run.seconds, 3)
-          .cell(base_seconds / run.seconds, 2);
-    }
-    t5.print("F2e — ColorReduce end-to-end thread scaling (n=" +
-             std::to_string(sn) + ", results bit-identical)");
-
-    if (!pjson.empty()) {
-      JsonWriter w;
-      w.begin_object();
-      w.key("bench").value("parallel_scaling");
-      w.key("n").value(std::uint64_t{sn});
-      w.key("max_degree").value(std::uint64_t{gs.max_degree()});
-      w.key("palette").value("delta1");
-      w.key("host_cpus")
-          .value(std::uint64_t{std::thread::hardware_concurrency()});
-      w.key("rounds").value(runs.front().rounds);
-      w.key("colorhash").value(runs.front().colorhash);
-      w.key("runs").begin_array();
-      for (const auto& run : runs) {
-        w.begin_object();
-        w.key("threads").value(run.threads);
-        w.key("seconds").value(run.seconds);
-        w.key("speedup").value(base_seconds / run.seconds);
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-      std::ofstream out(pjson);
-      out << w.str() << "\n";
-      std::printf("wrote %s\n", pjson.c_str());
-    }
-  }
-
-  // Part 6 (F2f): the low-space layer's seed search. Same MCE candidate
+  // Part 5 (F2f): the low-space layer's seed search. Same MCE candidate
   // stream as Part 4, driven through the Algorithm 4 violator count — naive
   // full recomputation per candidate vs the batched LowSpaceSeedEngine —
   // then end-to-end LowSpaceColorReduce at a matrix of pool sizes.

@@ -100,7 +100,7 @@ struct RunState {
 //     never present in (and never removable from) a palette this branch
 //     reads, and never collides with a greedy candidate. Whether a cross-
 //     branch read observes such a color therefore cannot change any output.
-// Cross-branch color reads go through relaxed atomics (greedy_color,
+// Cross-branch color reads go through relaxed atomics (greedy_collect,
 // remove_neighbor_colors) purely to make them well-defined; everything else
 // lives in the branch-private RunState and merges at the fork/join
 // boundaries in bin-index order (TaskGroup::fold). The driver itself is
@@ -148,8 +148,7 @@ class Driver {
       result_.implicit_store =
           std::make_unique<ImplicitPaletteStore>(g_.num_nodes(), k);
     }
-    TaskScratch scratch;
-    RunState st = recurse(root, 0, cfg_.salt, result_.root, scratch);
+    RunState st = recurse(root, 0, cfg_.salt, result_.root);
 
     // Collect point: the merged run state becomes the result. Hash
     // registrations install into the store here, in recursion-tree order.
@@ -170,28 +169,16 @@ class Driver {
   }
 
  private:
-  /// Buffers owned by one recursion branch. Each spawned bin task gets its
-  /// own; sequential child calls inherit the parent's (collects happen at
-  /// every leaf and must not reallocate each time).
-  struct TaskScratch {
-    std::vector<NodeId> order;  // collect_and_color ordering buffer
-  };
-
   /// Collect `inst` (already costed at `words` words) onto one machine and
-  /// greedily color it, consulting already-colored neighbors in the
-  /// original graph.
+  /// greedily color it highest-degree-first, consulting already-colored
+  /// neighbors in the original graph. The greedy runs in Jones–Plassmann
+  /// rounds sharded over the pool (greedy_collect); its coloring equals the
+  /// serial pass in that order.
   void collect_and_color(const Instance& inst, std::uint64_t words,
-                         RunState& st, TaskScratch& scratch) {
+                         RunState& st) {
     model_.collect(words, "collect-color", st.costs);
-    // Color highest-degree-first within the instance.
-    scratch.order.assign(inst.orig.begin(), inst.orig.end());
-    std::sort(scratch.order.begin(), scratch.order.end(),
-              [&](NodeId a, NodeId b) {
-                const auto da = g_.degree(a), db = g_.degree(b);
-                if (da != db) return da > db;
-                return a < b;
-              });
-    const bool ok = greedy_color(g_, pal_, scratch.order, result_.coloring);
+    const bool ok = greedy_collect(g_, pal_, inst.graph, inst.orig,
+                                   result_.coloring, cfg_.exec);
     DC_CHECK(ok, "local greedy ran out of colors — the p(v) > d(v) "
                  "invariant was broken upstream");
     // Announce the new colors to all neighbors (one word per node).
@@ -233,7 +220,7 @@ class Driver {
   }
 
   RunState recurse(const Instance& inst, unsigned depth, std::uint64_t salt,
-                   CallStats& stats, TaskScratch& scratch) {
+                   CallStats& stats) {
     // Coarse, safe point for the cooperative budget and fault-injection
     // checks: no partial state exists yet at a recursion entry, so throwing
     // here unwinds cleanly through the fork/join joins.
@@ -264,7 +251,7 @@ class Driver {
                      << inst.n() << ", ell=" << inst.ell << ")";
       }
       stats.collected = true;
-      collect_and_color(inst, inst_words, st, scratch);
+      collect_and_color(inst, inst_words, st);
       st.add_depth_seconds(depth, timer.seconds());
       return st;
     }
@@ -332,13 +319,8 @@ class Driver {
         par ? cfg_.exec.pool() : nullptr, groups,
         [&](std::size_t i) -> RunState {
           Instance child = make_child(inst, bin_local[i], pr.ell_next);
-          if (par) {
-            TaskScratch ts;
-            return recurse(child, depth + 1, sub_seed(salt, i + 1),
-                           child_stats[i], ts);
-          }
           return recurse(child, depth + 1, sub_seed(salt, i + 1),
-                         child_stats[i], scratch);
+                         child_stats[i]);
         },
         [&](std::size_t, RunState&& rs) { children.push_back(std::move(rs)); });
     st.merge_group(std::move(children));
@@ -357,7 +339,7 @@ class Driver {
     own_seconds += timer.seconds();
     CallStats last_stats;
     RunState last_st =
-        recurse(last, depth + 1, sub_seed(salt, b + 1), last_stats, scratch);
+        recurse(last, depth + 1, sub_seed(salt, b + 1), last_stats);
     st.merge_sequential(std::move(last_st));
     timer.reset();
     if (cfg_.record_stats) stats.children.push_back(std::move(last_stats));
@@ -366,7 +348,7 @@ class Driver {
     // neighbors directly, so the palette update is implicit.
     if (!bad_local.empty()) {
       Instance g0 = make_child(inst, bad_local, inst.ell);
-      collect_and_color(g0, collect_words(g0, pal_, cfg_.exec), st, scratch);
+      collect_and_color(g0, collect_words(g0, pal_, cfg_.exec), st);
     }
 
     own_seconds += timer.seconds();

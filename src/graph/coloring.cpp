@@ -4,7 +4,6 @@
 #include <atomic>
 #include <numeric>
 #include <sstream>
-#include <unordered_set>
 
 #include "util/check.hpp"
 
@@ -51,50 +50,157 @@ VerifyResult verify_proper_partial(const Graph& g, const Coloring& coloring) {
   return {true, ""};
 }
 
-bool greedy_color(const Graph& g, const PaletteSet& palettes,
-                  std::span<const NodeId> order, Coloring& coloring) {
-  // Neighbor colors are read (and the node's own color written) through
-  // relaxed atomics: parallel ColorReduce runs collect-and-color leaves of
-  // sibling color bins concurrently, so a neighbor in another bin may be
-  // committing its color right now. The outcome is unaffected either way —
-  // a concurrently-committed color belongs to a disjoint h2 color class, so
-  // it can never collide with a candidate from this node's palette (see
-  // README, "Parallel execution and determinism") — the atomics only make
-  // the unordered read well-defined. On x86 they compile to plain moves.
-  std::unordered_set<Color> forbidden;
-  for (const NodeId v : order) {
-    DC_CHECK(!coloring.is_colored(v), "greedy asked to re-color node ", v);
-    forbidden.clear();
-    for (const NodeId u : g.neighbors(v)) {
-      const Color cu =
-          std::atomic_ref<Color>(coloring.color[u])
-              .load(std::memory_order_relaxed);
-      if (cu != Coloring::kUncolored) forbidden.insert(cu);
-    }
-    bool placed = false;
-    for (const Color c : palettes.palette(v)) {
-      if (forbidden.find(c) == forbidden.end()) {
-        std::atomic_ref<Color>(coloring.color[v])
-            .store(c, std::memory_order_relaxed);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) return false;
-  }
-  return true;
-}
-
 namespace {
 
-/// Relaxed atomic read of a color slot a sibling branch may be writing. The
-/// slot itself is never const; atomic_ref just requires a mutable referent.
+// Neighbor colors are read (and a node's own color written) through relaxed
+// atomics: parallel ColorReduce runs the collects of sibling color bins
+// concurrently, so a neighbor in another bin may be committing its color
+// right now. The outcome is unaffected either way — a concurrently-committed
+// color belongs to a disjoint h2 color class, so it can never collide with a
+// candidate from this node's palette (see README, "Parallel execution and
+// determinism") — the atomics only make the unordered read well-defined. On
+// x86 they compile to plain moves. The slot itself is never const;
+// atomic_ref just requires a mutable referent.
 Color load_color(const Coloring& coloring, NodeId u) {
   return std::atomic_ref<Color>(const_cast<Color&>(coloring.color[u]))
       .load(std::memory_order_relaxed);
 }
 
+void store_color(Coloring& coloring, NodeId v, Color c) {
+  std::atomic_ref<Color>(coloring.color[v]).store(c, std::memory_order_relaxed);
+}
+
+/// The per-node step of both greedy schedulers: v's smallest palette color
+/// that no colored neighbor in `g` holds, or kUncolored when there is none.
+/// Only positions [0, min(|P(v)|, deg(v)+1)) can hold it (coloring.hpp);
+/// each colored neighbor marks its color's position there, found by binary
+/// search. The sentinel is never a neighbor's color, so it stays unmarked
+/// and, when it is the first unmarked position, comes back as "no color".
+/// `marks` holds at least deg(v)+1 zero bytes and is left zeroed.
+Color smallest_free_color(const Graph& g, std::span<const Color> palette,
+                          NodeId v, const Coloring& coloring,
+                          std::span<char> marks) {
+  const std::span<const Color> prefix = palette.first(
+      std::min<std::size_t>(palette.size(), std::size_t{g.degree(v)} + 1));
+  for (const NodeId u : g.neighbors(v)) {
+    const Color cu = load_color(coloring, u);
+    if (cu == Coloring::kUncolored) continue;
+    const auto it = std::lower_bound(prefix.begin(), prefix.end(), cu);
+    if (it != prefix.end() && *it == cu) marks[it - prefix.begin()] = 1;
+  }
+  std::size_t j = 0;
+  while (j < prefix.size() && marks[j] != 0) ++j;
+  std::fill_n(marks.begin(), prefix.size(), char{0});
+  return j < prefix.size() ? prefix[j] : Coloring::kUncolored;
+}
+
+/// Frontier nodes per shard in greedy_collect's rounds. A leaf collect of
+/// the reduce-sparse benchmark graph (sgnp n = 2^17, Δ = 60) starts near
+/// 3.2k frontier nodes and shrinks to 1 over 14-17 rounds, so the default
+/// grain of 2048 gives at most 2 shards per round. Eight such collects at 4
+/// threads on a 4-core Xeon, grains alternating in one process: 0.20 s at
+/// 2048 (one thread: 0.18-0.23 s), 0.077-0.087 s at 512, 0.060-0.065 s at
+/// 128, 0.055-0.056 s at 32. ColorReduce's depth-3 self time (its 8 leaf
+/// collects) read 0.052-0.061 s at 128 against 0.13-0.18 s at 2048. Below
+/// 128 little more is gained, for twice the tasks per round.
+constexpr std::size_t kCollectGrain = 128;
+
 }  // namespace
+
+bool greedy_color(const Graph& g, const PaletteSet& palettes,
+                  std::span<const NodeId> order, Coloring& coloring) {
+  std::vector<char> marks(std::size_t{g.max_degree()} + 1, 0);
+  for (const NodeId v : order) {
+    DC_CHECK(!coloring.is_colored(v), "greedy asked to re-color node ", v);
+    const Color c =
+        smallest_free_color(g, palettes.palette(v), v, coloring, marks);
+    if (c == Coloring::kUncolored) return false;
+    store_color(coloring, v, c);
+  }
+  return true;
+}
+
+bool greedy_collect(const Graph& g, const PaletteSet& palettes,
+                    const Graph& local, std::span<const NodeId> orig,
+                    Coloring& coloring, ExecContext exec) {
+  const NodeId n = local.num_nodes();
+  DC_CHECK(orig.size() == n, "collect has ", n, " local nodes but ",
+           orig.size(), " original ids");
+  // Collect order as one integer per node: original degree descending,
+  // then original id. Local node a precedes b iff key[a] < key[b].
+  std::vector<std::uint64_t> key(n);
+  parallel_for_shards(exec, n, [&](std::size_t, std::size_t b, std::size_t e) {
+    for (std::size_t l = b; l < e; ++l) {
+      const NodeId v = orig[l];
+      DC_CHECK(!coloring.is_colored(v), "greedy asked to re-color node ", v);
+      key[l] = (std::uint64_t{static_cast<NodeId>(~g.degree(v))} << 32) | v;
+    }
+  });
+  // wait[l]: how many of l's earlier local neighbors are still uncolored.
+  std::vector<NodeId> wait(n);
+  parallel_for_shards(exec, n, [&](std::size_t, std::size_t b, std::size_t e) {
+    for (std::size_t l = b; l < e; ++l) {
+      NodeId w = 0;
+      for (const NodeId m : local.neighbors(static_cast<NodeId>(l))) {
+        if (key[m] < key[l]) ++w;
+      }
+      wait[l] = w;
+    }
+  });
+  std::vector<NodeId> frontier;
+  for (NodeId l = 0; l < n; ++l) {
+    if (wait[l] == 0) frontier.push_back(l);
+  }
+
+  // One round colors the frontier, which is pairwise non-adjacent (of two
+  // local neighbors, the later waits for the earlier); each shard lists the
+  // later neighbors of the nodes it colored. This thread then releases them
+  // in shard order: the next frontier is the nodes whose wait count drops
+  // to 0, in release order.
+  struct ShardScratch {
+    std::vector<char> marks;
+    std::vector<NodeId> release;
+    bool failed = false;
+  };
+  std::vector<ShardScratch> scratch(shard_count(n, kCollectGrain));
+  std::vector<NodeId> next;
+  while (!frontier.empty()) {
+    parallel_for_shards(
+        exec, frontier.size(),
+        [&](std::size_t s, std::size_t b, std::size_t e) {
+          ShardScratch& sc = scratch[s];
+          if (sc.marks.empty()) {
+            sc.marks.assign(std::size_t{g.max_degree()} + 1, 0);
+          }
+          sc.release.clear();
+          for (std::size_t i = b; i < e; ++i) {
+            const NodeId l = frontier[i];
+            const NodeId v = orig[l];
+            const Color c = smallest_free_color(g, palettes.palette(v), v,
+                                                coloring, sc.marks);
+            if (c == Coloring::kUncolored) {
+              sc.failed = true;
+              return;
+            }
+            store_color(coloring, v, c);
+            for (const NodeId m : local.neighbors(l)) {
+              if (key[l] < key[m]) sc.release.push_back(m);
+            }
+          }
+        },
+        kCollectGrain);
+    next.clear();
+    const std::size_t shards = shard_count(frontier.size(), kCollectGrain);
+    for (std::size_t s = 0; s < shards; ++s) {
+      if (scratch[s].failed) return false;
+      for (const NodeId m : scratch[s].release) {
+        if (--wait[m] == 0) next.push_back(m);
+      }
+    }
+    frontier.swap(next);
+  }
+  return true;
+}
 
 std::uint64_t remove_neighbor_colors(
     const Graph& g, const Coloring& coloring, std::span<const NodeId> nodes,

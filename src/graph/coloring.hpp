@@ -47,9 +47,46 @@ VerifyResult verify_proper_partial(const Graph& g, const Coloring& coloring);
 /// Greedily colors the nodes in `order` (original ids). For each node, picks
 /// the smallest palette color not used by any already-colored neighbor in
 /// `g`. Returns false (and stops) if some node has no available color.
-/// Deterministic in `order`; O(sum of palette sizes + m log Δ).
+/// Deterministic in `order`.
+///
+/// Only the first min(|P(v)|, deg(v)+1) palette positions are examined:
+/// each of v's deg(v) neighbors blocks at most one of them, so the smallest
+/// free color lies in that prefix whenever one exists. Cost O(Σ deg(v)
+/// log Δ) over `order`, plus one Δ+1-byte scratch buffer per call.
+///
+/// Sentinel rule: a palette may hold Coloring::kUncolored (2^64-1), but no
+/// node is ever assigned it. A node whose smallest free color is the
+/// sentinel has no color, and the call returns false.
 bool greedy_color(const Graph& g, const PaletteSet& palettes,
                   std::span<const NodeId> order, Coloring& coloring);
+
+/// Colors a collected instance with the exact result of greedy_color over
+/// its nodes in collect order: original degree descending, then original
+/// id. `local` is the instance's CSR (the subgraph of `g` induced by
+/// `orig`), and local node i is original node orig[i]; every orig[i] must be
+/// uncolored on entry (CheckError otherwise).
+///
+/// The instance is colored in Jones–Plassmann rounds: a node is colored in
+/// the round after its last earlier in-collect neighbor, by the same
+/// per-node step and sentinel rule as greedy_color. Each round is one pass
+/// over its frontier, sharded over `exec`; the calling thread then folds
+/// the shards' release lists in shard order. Frontier contents and order are
+/// a function of the input, so the rounds are identical for every thread
+/// count. When a node is colored, every earlier in-collect neighbor is
+/// colored and no later one is; a neighbor outside the instance is colored
+/// or not exactly as during the serial pass, or sits in a concurrent
+/// sibling bin whose palette is disjoint from this node's (README, "Parallel
+/// execution and determinism", part 3). So each node sees what the serial
+/// pass shows it, and the coloring is identical to it.
+///
+/// Returns false when some node has no available color; the instance is
+/// then partially colored (deterministically, but not as greedy_color
+/// would leave it). Work O(Σ deg(v) log Δ) over the instance's nodes, as
+/// for greedy_color, plus O(m) for its m in-instance edges; the O(m)
+/// release fold runs on the calling thread.
+bool greedy_collect(const Graph& g, const PaletteSet& palettes,
+                    const Graph& local, std::span<const NodeId> orig,
+                    Coloring& coloring, ExecContext exec = {});
 
 /// The drivers' "update color palettes" step: drop from the palette of
 /// every node in `nodes` (original ids) each color an already-colored
@@ -70,9 +107,9 @@ std::uint64_t remove_neighbor_colors(
     FunctionRef<void(NodeId, Color)> on_removed);
 
 /// Degree-descending greedy over the whole graph; the classic centralized
-/// baseline. Always succeeds when every palette is larger than the degree.
-/// Ties break by node id, so the ordering — and the coloring — is
-/// deterministic.
+/// baseline. Always succeeds when every palette holds more colors other
+/// than Coloring::kUncolored than the node's degree. Ties break by node id,
+/// so the ordering — and the coloring — is deterministic.
 bool greedy_color_all(const Graph& g, const PaletteSet& palettes,
                       Coloring& coloring);
 
