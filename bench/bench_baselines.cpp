@@ -176,6 +176,6 @@ int main(int argc, char** argv) {
       "constant (independent of n), competitive with the randomized trial\n"
       "at this scale and far below the MIS-reduction deterministic\n"
       "baseline; the randomized ablation saves seed-search evaluations but\n"
-      "loses the G0 = O(n) guarantee (see T3).\n");
+      "loses the G0 = O(n) guarantee of Corollary 3.10.\n");
   return 0;
 }

@@ -14,14 +14,12 @@
 // --json=PATH (empty path skips the file).
 // Part 5: the low-space layer's seed search — naive per-candidate violator
 // recomputation vs the batched LowSpaceSeedEngine on the sampled-MCE
-// stream, plus end-to-end LowSpaceColorReduce thread scaling (bit-identical
-// asserted); written to BENCH_lowspace.json. Flags: --ls-n, --ls-deg,
-// --ls-evals, --ls-scale-n, --ls-scale-threads, --lowspace-json=PATH.
+// stream; written to BENCH_lowspace.json. Flags: --ls-n, --ls-deg,
+// --ls-evals, --lowspace-json=PATH.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -30,9 +28,7 @@
 #include "core/classify.hpp"
 #include "core/partition.hpp"
 #include "core/seed_eval.hpp"
-#include "exec/exec.hpp"
 #include "graph/generators.hpp"
-#include "lowspace/low_space.hpp"
 #include "lowspace/seed_engine.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -269,6 +265,8 @@ int main(int argc, char** argv) {
       w.key("chunk_bits").value(stream_cfg.chunk_bits);
       w.key("mce_samples").value(stream_cfg.mce_samples);
       w.key("evals").value(rn.evals);
+      w.key("host_cpus")
+          .value(std::uint64_t{std::thread::hardware_concurrency()});
       w.key("naive").begin_object();
       w.key("seconds").value(rn.seconds);
       w.key("evals_per_sec").value(naive_eps);
@@ -291,15 +289,11 @@ int main(int argc, char** argv) {
 
   // Part 5 (F2f): the low-space layer's seed search. Same MCE candidate
   // stream as Part 4, driven through the Algorithm 4 violator count — naive
-  // full recomputation per candidate vs the batched LowSpaceSeedEngine —
-  // then end-to-end LowSpaceColorReduce at a matrix of pool sizes.
+  // full recomputation per candidate vs the batched LowSpaceSeedEngine.
   {
     const NodeId ln = static_cast<NodeId>(args.get_uint("ls-n", 1u << 14));
     const NodeId ldeg = static_cast<NodeId>(args.get_uint("ls-deg", 32));
     const std::uint64_t ls_evals = args.get_uint("ls-evals", 512);
-    const NodeId lsn = static_cast<NodeId>(
-        args.get_uint("ls-scale-n", 8192));
-    const auto ls_threads = args.get_uint_list("ls-scale-threads", {1, 2, 4});
     const std::string ljson =
         args.get_string("lowspace-json", "BENCH_lowspace.json");
 
@@ -352,57 +346,6 @@ int main(int argc, char** argv) {
              std::to_string(ln) + ", b=" + std::to_string(bl) + ")");
     std::printf("lowspace engine speedup: %.1fx\n", speedup);
 
-    // End-to-end LowSpaceColorReduce thread scaling, bit-identity asserted.
-    const Graph gs = gen_random_regular(lsn, ldeg, 13);
-    const PaletteSet pals = PaletteSet::delta_plus_one(gs);
-    struct ScaleRun {
-      std::uint64_t threads = 0;
-      double seconds = 0.0;
-      std::uint64_t rounds = 0;
-      std::uint64_t colorhash = 0;
-    };
-    std::vector<ScaleRun> runs;
-    for (const std::uint64_t t : ls_threads) {
-      std::optional<ThreadPool> pool;
-      LowSpaceParams params;
-      params.delta = 0.04;
-      if (t > 1) {
-        pool.emplace(static_cast<unsigned>(t));
-        params.exec = ExecContext(*pool);
-      }
-      WallTimer wt;
-      const auto r = low_space_color(gs, pals, params);
-      ScaleRun run;
-      run.threads = t;
-      run.seconds = wt.seconds();
-      run.rounds = r.ledger.total_rounds();
-      run.colorhash = 0xcbf29ce484222325ULL;
-      for (NodeId v = 0; v < gs.num_nodes(); ++v) {
-        run.colorhash ^= r.coloring.color[v];
-        run.colorhash *= 0x100000001B3ULL;
-      }
-      if (!runs.empty()) {
-        DC_CHECK(run.colorhash == runs.front().colorhash &&
-                     run.rounds == runs.front().rounds,
-                 "thread count changed the low-space result — determinism "
-                 "contract violated");
-      }
-      runs.push_back(run);
-    }
-    double base_seconds = runs.front().seconds;
-    for (const auto& run : runs) {
-      if (run.threads == 1) base_seconds = run.seconds;
-    }
-    Table t7({"threads", "seconds", "speedup vs 1 thread"});
-    for (const auto& run : runs) {
-      t7.row()
-          .cell(run.threads)
-          .cell(run.seconds, 3)
-          .cell(base_seconds / run.seconds, 2);
-    }
-    t7.print("F2f — LowSpaceColorReduce end-to-end thread scaling (n=" +
-             std::to_string(lsn) + ", results bit-identical)");
-
     if (!ljson.empty()) {
       JsonWriter w;
       w.begin_object();
@@ -432,20 +375,6 @@ int main(int argc, char** argv) {
                                  static_cast<double>(re.evals));
       w.end_object();
       w.key("speedup").value(speedup);
-      w.key("scaling").begin_object();
-      w.key("n").value(std::uint64_t{lsn});
-      w.key("rounds").value(runs.front().rounds);
-      w.key("colorhash").value(runs.front().colorhash);
-      w.key("runs").begin_array();
-      for (const auto& run : runs) {
-        w.begin_object();
-        w.key("threads").value(run.threads);
-        w.key("seconds").value(run.seconds);
-        w.key("speedup").value(base_seconds / run.seconds);
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
       w.end_object();
       std::ofstream out(ljson);
       out << w.str() << "\n";

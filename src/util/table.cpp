@@ -15,11 +15,6 @@ std::string format_double(double v, int precision) {
   return buf;
 }
 
-std::string format_ratio(double got, double want) {
-  if (want == 0.0) return "n/a";
-  return format_double(got / want, 2) + "x";
-}
-
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
   DC_CHECK(!headers_.empty(), "table needs at least one column");
 }

@@ -41,8 +41,7 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Format helpers shared with benches.
+/// Format helper shared with benches.
 std::string format_double(double v, int precision);
-std::string format_ratio(double got, double want);
 
 }  // namespace detcol

@@ -28,13 +28,21 @@ TEST(NetworkColor, ColorsGnpWithRealMessages) {
 }
 
 TEST(NetworkColor, MceRoundsMatchSchedule) {
-  const Graph g = gen_random_regular(80, 8, 5);
-  const PaletteSet pal = PaletteSet::delta_plus_one(g);
-  PartitionParams params;  // c = 4 -> 512 seed bits
-  const auto r = network_color_round(g, pal, params, /*chunk_bits=*/4);
-  // 512 bits / 4 per chunk = 128 chunks, exactly 2 network rounds each.
-  EXPECT_EQ(r.mce_rounds, 256u);
-  EXPECT_TRUE(verify_coloring(g, pal, r.coloring).ok);
+  // A message-level ColorReduce level takes O(1) network rounds at every n.
+  for (const NodeId n : {64u, 80u, 128u, 256u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Graph g = gen_random_regular(n, 8, 5);
+    const PaletteSet pal = PaletteSet::delta_plus_one(g);
+    PartitionParams params;  // c = 4 -> 512 seed bits
+    const auto r = network_color_round(g, pal, params, /*chunk_bits=*/4);
+    // 512 bits / 4 per chunk = 128 chunks, exactly 2 network rounds each.
+    EXPECT_EQ(r.mce_rounds, 256u);
+    EXPECT_EQ(r.cls.num_bad_bins, 0u);
+    EXPECT_TRUE(verify_coloring(g, pal, r.coloring).ok);
+    // Routing and coloring: the two-phase router's second phase lasts as
+    // long as its fullest intermediary queue, 26-29 rounds at these n.
+    EXPECT_LE(r.network_rounds - r.mce_rounds, 40u);
+  }
 }
 
 TEST(NetworkColor, ListColoring) {

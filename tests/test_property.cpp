@@ -6,6 +6,7 @@
 #include <cmath>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/color_reduce.hpp"
 #include "graph/generators.hpp"
@@ -105,20 +106,81 @@ INSTANTIATE_TEST_SUITE_P(
                           PaletteMode::kDegPlusOne)),
     param_name);
 
+// Round charge of a full recursion tree of the given depth with b = 2 bins,
+// every partition having a non-empty G0. A partition costs 138 rounds: seed
+// selection 130 (64 chunks x 2-round aggregate, plus a 2-round broadcast),
+// partition route 2, last-bin palette update 2, G0 collect 2 and announce 2.
+// Its color bin runs before its last bin, so R(d) = 138 + 2 R(d-1), and a
+// leaf's collect and announce give R(0) = 4. No term depends on n once
+// n >= 2^chunk_bits = 256.
+std::uint64_t full_tree_rounds(unsigned depth) {
+  return 142 * (std::uint64_t{1} << depth) - 138;
+}
+
+// Lemma 3.9 / Corollary 3.10 at every partition and Lemmas 3.11-3.13 at
+// every call of the tree.
+void expect_calls_within_paper_bounds(const CallStats& s, double n,
+                                      double delta0, double g0_budget) {
+  SCOPED_TRACE("depth " + std::to_string(s.depth));
+  EXPECT_LE(s.ell, lemma_311_ell_upper(delta0, s.depth));
+  EXPECT_LE(static_cast<double>(s.n),
+            lemma_312_nodes_upper(n, delta0, s.depth));
+  EXPECT_LE(static_cast<double>(s.max_deg),
+            lemma_313_degree_upper(delta0, s.depth));
+  if (!s.collected && s.n > 0) {
+    EXPECT_EQ(s.bad_bins, 0u);
+    EXPECT_TRUE(s.seed_met_threshold);
+    EXPECT_LE(s.g0_words, static_cast<std::uint64_t>(g0_budget * n));
+  }
+  for (const auto& c : s.children) {
+    expect_calls_within_paper_bounds(c, n, delta0, g0_budget);
+  }
+}
+
+// Theorem 1.1 on a (Delta, n) grid of random regular graphs with (Delta+1)
+// palettes: the recursion depth is a function of Delta alone, and the rounds
+// stay within the full tree's charge at that depth. They equal it where the
+// tree is full and every G0 non-empty. At Delta = 32 some small-n G0s are
+// empty, and at Delta = 64 some branches are collected before depth 4 until
+// n reaches 32768.
+struct DegreeCase {
+  NodeId delta;
+  unsigned depth;
+  bool fills_tree;
+};
+
+std::vector<DegreeCase> degrees_at(NodeId n) {
+  if (n > 8192) return {{16, 2, true}};
+  std::vector<DegreeCase> cases = {
+      {8, 1, true}, {16, 2, true}, {32, 3, false}, {64, 4, false}};
+  if (n == 4096) cases.push_back({128, 4, true});
+  return cases;
+}
+
 class RoundConstancy : public ::testing::TestWithParam<NodeId> {};
 
 TEST_P(RoundConstancy, RoundsDoNotGrowWithN) {
-  // Theorem 1.1 as an equality: at fixed degree, every n in the sweep is
-  // charged the same number of rounds.
   const NodeId n = GetParam();
-  const Graph g = gen_random_regular(n, 16, 5);
-  const PaletteSet pal = PaletteSet::delta_plus_one(g);
-  ColorReduceConfig cfg;
-  cfg.part.collect_factor = 2.0;
-  const auto r = color_reduce(g, pal, cfg);
-  ASSERT_TRUE(verify_coloring(g, pal, r.coloring).ok);
-  EXPECT_EQ(r.ledger.total_rounds(), 430u);
-  EXPECT_LE(r.max_depth_reached, 12u);
+  for (const auto [delta, depth, fills_tree] : degrees_at(n)) {
+    SCOPED_TRACE("Delta=" + std::to_string(delta));
+    const Graph g = gen_random_regular(n, delta, 5);
+    const PaletteSet pal = PaletteSet::delta_plus_one(g);
+    ColorReduceConfig cfg;
+    cfg.part.collect_factor = 2.0;
+    const auto r = color_reduce(g, pal, cfg);
+    ASSERT_TRUE(verify_coloring(g, pal, r.coloring).ok);
+    EXPECT_EQ(r.max_depth_reached, depth);
+    EXPECT_LE(r.max_depth_reached, 9u);  // Lemma 3.14
+    // b = 2 bins: the recursion is a binary tree.
+    EXPECT_LE(r.num_partitions,
+              (std::uint64_t{1} << r.max_depth_reached) - 1);
+    EXPECT_LE(r.ledger.total_rounds(), full_tree_rounds(r.max_depth_reached));
+    if (fills_tree) {
+      EXPECT_EQ(r.ledger.total_rounds(), full_tree_rounds(depth));
+    }
+    expect_calls_within_paper_bounds(r.root, n, g.max_degree(),
+                                     cfg.part.g0_budget);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, RoundConstancy,

@@ -101,8 +101,6 @@ TEST(Table, TooManyCellsThrows) {
 
 TEST(Table, FormatHelpers) {
   EXPECT_EQ(format_double(1.23456, 2), "1.23");
-  EXPECT_EQ(format_ratio(2.0, 1.0), "2.00x");
-  EXPECT_EQ(format_ratio(1.0, 0.0), "n/a");
 }
 
 TEST(Cli, ParsesFlagsAndPositional) {
