@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   t.row().cell("MIS reduction calls").cell(r.num_mis_calls);
   t.row().cell("total MIS phases").cell(r.total_mis_phases);
   t.row().cell("violators diverted to G0").cell(r.diverted_violators);
-  t.row().cell("peak global space (words)").cell(r.peak_total_words);
+  t.row().cell("peak global space (words)").cell(r.mpc.peak_total_words);
   t.print("low-space MPC (deg+1)-list coloring (Theorem 1.4)");
 
   std::printf("\nmodel cost breakdown:\n%s", r.ledger.summary().c_str());

@@ -54,10 +54,10 @@ int main(int argc, char** argv) {
               "seed evaluations=%llu\n",
               result.max_depth_reached,
               static_cast<unsigned long long>(result.num_partitions),
-              static_cast<unsigned long long>(result.num_collects),
+              static_cast<unsigned long long>(result.mpc.num_collects),
               static_cast<unsigned long long>(result.total_seed_evaluations));
   std::printf("peak collected instance: %llu words (machine capacity %u*16)\n",
-              static_cast<unsigned long long>(result.peak_collect_words),
+              static_cast<unsigned long long>(result.mpc.peak_local_words),
               g.num_nodes());
 
   // 6. Optional: machine-readable dump of the whole run for plotting.

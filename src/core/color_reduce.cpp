@@ -158,8 +158,6 @@ class Driver {
     result_.ledger = st.costs.ledger;
     result_.max_depth_reached = st.max_depth;
     result_.num_partitions = st.num_partitions;
-    result_.num_collects = st.costs.num_collects;
-    result_.peak_collect_words = st.costs.peak_local_words;
     result_.total_seed_evaluations = st.total_seed_evaluations;
     result_.mpc = std::move(st.costs);
     result_.threads_used = cfg_.exec.num_threads();
@@ -325,10 +323,8 @@ class Driver {
         [&](std::size_t, RunState&& rs) { children.push_back(std::move(rs)); });
     st.merge_group(std::move(children));
     timer.reset();
-    if (cfg_.record_stats) {
-      stats.children.reserve(b);
-      for (auto& cs : child_stats) stats.children.push_back(std::move(cs));
-    }
+    stats.children.reserve(b);
+    for (auto& cs : child_stats) stats.children.push_back(std::move(cs));
 
     // Last bin: update palettes, then recurse. This runs strictly after the
     // group join — exactly the model's schedule, where G_b's palette update
@@ -342,7 +338,7 @@ class Driver {
         recurse(last, depth + 1, sub_seed(salt, b + 1), last_stats);
     st.merge_sequential(std::move(last_st));
     timer.reset();
-    if (cfg_.record_stats) stats.children.push_back(std::move(last_stats));
+    stats.children.push_back(std::move(last_stats));
 
     // G0 (bad nodes): collect and color locally. Greedy consults colored
     // neighbors directly, so the palette update is implicit.

@@ -67,8 +67,6 @@ struct CallStats {
 
 struct ColorReduceConfig {
   PartitionParams part;
-  /// Record the full CallStats tree (cheap; on by default).
-  bool record_stats = true;
   /// Deterministic namespace for all seed searches.
   std::uint64_t salt = 0x0DE7C0102ULL;
   /// Congested-clique cost model.
@@ -99,10 +97,6 @@ struct ColorReduceResult {
 
   unsigned max_depth_reached = 0;
   std::uint64_t num_partitions = 0;
-  /// Legacy views of `mpc` (num_collects / peak_local_words), kept for
-  /// existing callers and golden fingerprints.
-  std::uint64_t num_collects = 0;
-  std::uint64_t peak_collect_words = 0;
   std::uint64_t total_seed_evaluations = 0;
 
   /// Space accounting (words): initial explicit palette footprint vs the

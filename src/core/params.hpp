@@ -65,8 +65,9 @@ std::uint64_t num_bins(double ell, const PartitionParams& params);
 /// ell' = ell^0.9 - ell^0.6, floored at 2.
 double next_ell(double ell, const PartitionParams& params);
 
-/// Paper trajectory bounds (Lemmas 3.11-3.13), used by tests and the
-/// trajectory bench: at recursion depth i with initial degree bound Delta,
+/// Paper trajectory bounds (Lemmas 3.11-3.13), asserted at every recursion
+/// call by RoundConstancy (tests/test_property.cpp): at recursion depth i
+/// with initial degree bound Delta,
 ///   ell_i in (Delta^{0.9^i} / 2, Delta^{0.9^i}],
 ///   n_i <= 3^i (n * Delta^{0.9^i - 1} + n^0.6),
 ///   Delta_i <= 2^i * Delta^{0.9^i}.

@@ -88,8 +88,8 @@ std::string result_to_json(const ColorReduceResult& result) {
   w.begin_object();
   w.key("max_depth_reached").value(result.max_depth_reached);
   w.key("num_partitions").value(result.num_partitions);
-  w.key("num_collects").value(result.num_collects);
-  w.key("peak_collect_words").value(result.peak_collect_words);
+  w.key("num_collects").value(result.mpc.num_collects);
+  w.key("peak_collect_words").value(result.mpc.peak_local_words);
   w.key("total_seed_evaluations").value(result.total_seed_evaluations);
   w.key("explicit_palette_words").value(result.explicit_palette_words);
   if (result.implicit_store) {
@@ -131,8 +131,8 @@ std::string lowspace_result_to_json(const LowSpaceResult& result,
   w.key("total_mis_phases").value(result.total_mis_phases);
   w.key("seed_evaluations").value(result.seed_evaluations);
   w.key("diverted_violators").value(result.diverted_violators);
-  w.key("peak_local_words").value(result.peak_local_words);
-  w.key("peak_total_words").value(result.peak_total_words);
+  w.key("peak_local_words").value(result.mpc.peak_local_words);
+  w.key("peak_total_words").value(result.mpc.peak_total_words);
   w.key("num_colored")
       .value(static_cast<std::uint64_t>(result.coloring.num_colored()));
   w.key("kernel").value(active_simd_name());

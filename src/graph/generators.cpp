@@ -72,21 +72,19 @@ Graph gen_random_regular(NodeId n, NodeId d, std::uint64_t seed) {
   DC_CHECK(d < n, "degree must be < n");
   Xoshiro256 rng(seed);
   // Configuration model: d stubs per node, random perfect matching on stubs,
-  // drop loops/duplicates (degrees may dip slightly below d, never above).
+  // drop loops; Graph::from_edges drops the duplicates (degrees may dip
+  // slightly below d, never above).
   std::vector<NodeId> stubs;
   stubs.reserve(static_cast<std::size_t>(n) * d);
   for (NodeId v = 0; v < n; ++v) {
     for (NodeId i = 0; i < d; ++i) stubs.push_back(v);
   }
   std::shuffle(stubs.begin(), stubs.end(), rng);
-  std::set<std::pair<NodeId, NodeId>> chosen;
+  std::vector<Edge> edges;
+  edges.reserve(stubs.size() / 2);
   for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
-    const NodeId u = stubs[i];
-    const NodeId v = stubs[i + 1];
-    if (u == v) continue;
-    chosen.emplace(std::min(u, v), std::max(u, v));
+    if (stubs[i] != stubs[i + 1]) edges.emplace_back(stubs[i], stubs[i + 1]);
   }
-  std::vector<Edge> edges(chosen.begin(), chosen.end());
   return Graph::from_edges(n, edges);
 }
 

@@ -1,7 +1,8 @@
 // The Bellare–Rompel moment bound (Lemma 2.2 of the paper):
 //   Pr[|Z - mu| >= lambda] <= 2 * (c*t / lambda^2)^(c/2)
-// for Z a sum of t c-wise independent [0,1] variables. Benches compare
-// empirical deviation frequencies against this analytic tail.
+// for Z a sum of t c-wise independent [0,1] variables.
+// Concentration.EmpiricalDeviationWithinLemma22 (tests/test_concentration.cpp)
+// checks empirical deviation frequencies against this analytic tail.
 #pragma once
 
 #include <cstdint>

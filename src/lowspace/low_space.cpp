@@ -113,8 +113,6 @@ class LsDriver {
     root.graph = g_;
     LsRunState st = recurse(root, 0, salt_);
     result_.ledger = std::move(st.ledger);
-    result_.peak_local_words = st.mpc.peak_local_words;
-    result_.peak_total_words = st.mpc.peak_total_words;
     result_.depth_reached = st.depth_reached;
     result_.num_partitions = st.num_partitions;
     result_.num_mis_calls = st.num_mis_calls;

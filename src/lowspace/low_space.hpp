@@ -68,9 +68,6 @@ struct LowSpaceResult {
   std::uint64_t total_mis_phases = 0;
   std::uint64_t seed_evaluations = 0;
   std::uint64_t diverted_violators = 0;  // good-by-seed but p'<=d' guards
-  /// Legacy views of mpc.peak_local_words / mpc.peak_total_words.
-  std::uint64_t peak_local_words = 0;
-  std::uint64_t peak_total_words = 0;
 
   explicit LowSpaceResult(NodeId n) : coloring(n) {}
 };

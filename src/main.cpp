@@ -304,29 +304,39 @@ std::string client_palette_spec(const ArgParser& args) {
   return out;
 }
 
-/// Shared non-ok response handling: print the server's diagnostic, map
-/// "usage" to exit 2 and everything else to exit 1.
-int report_server_error(const char* cmd, const JsonValue& resp) {
-  const JsonValue* cls = resp.find("error_class");
-  const JsonValue* msg = resp.find("message");
-  std::fprintf(stderr, "detcol %s: server error (%s): %s\n", cmd,
-               cls != nullptr ? cls->string_value.c_str() : "unknown",
-               msg != nullptr ? msg->string_value.c_str() : "no message");
-  return cls != nullptr && cls->string_value == "usage" ? kExitUsage
-                                                        : kExitFailure;
-}
+/// One request/response exchange with a running `detcol serve`. `raw` keeps
+/// the payload bytes, so sub-documents (stats, mpc) re-emit byte-identically
+/// through `bytes`; an ok reply always has a "result" object.
+struct ServerReply {
+  std::string raw;
+  JsonValue doc;
+  bool ok = false;
 
-bool response_ok(const JsonValue& resp) {
-  const JsonValue* ok = resp.find("ok");
-  return ok != nullptr && ok->kind == JsonValue::Kind::kBool &&
-         ok->bool_value;
-}
+  ServerReply(const std::string& endpoint, const serve::Request& req)
+      : doc(serve::ServeClient(endpoint).roundtrip(req, &raw)) {
+    const JsonValue* v = doc.find("ok");
+    ok = v != nullptr && v->kind == JsonValue::Kind::kBool && v->bool_value;
+    DC_CHECK(!ok || result() != nullptr, "server response has no \"result\"");
+  }
 
-/// Raw bytes of a response sub-value (to re-emit e.g. the stats document
-/// byte-identically).
-std::string raw_span(const std::string& raw, const JsonValue& v) {
-  return raw.substr(v.raw_begin, v.raw_end - v.raw_begin);
-}
+  const JsonValue* result() const { return doc.find("result"); }
+  std::string bytes(const JsonValue& v) const {
+    return raw.substr(v.raw_begin, v.raw_end - v.raw_begin);
+  }
+  /// An error reply's "error_class" or "message", or `fallback` if absent.
+  std::string text(std::string_view key, const char* fallback) const {
+    const JsonValue* v = doc.find(key);
+    return v != nullptr ? v->string_value : fallback;
+  }
+  /// `detcol <cmd>`'s report of an error reply: the server's diagnostic on
+  /// stderr, exit 2 for class "usage" and 1 for every other class.
+  int report(const char* cmd) const {
+    const std::string cls = text("error_class", "unknown");
+    std::fprintf(stderr, "detcol %s: server error (%s): %s\n", cmd,
+                 cls.c_str(), text("message", "no message").c_str());
+    return cls == "usage" ? kExitUsage : kExitFailure;
+  }
+};
 
 int run_color_via_server(const ArgParser& args, const std::string& algo) {
   const bool quiet = get_bool_strict(args, "quiet");
@@ -338,20 +348,17 @@ int run_color_via_server(const ArgParser& args, const std::string& algo) {
   req.seed = get_uint_strict(args, "seed", 1);
   req.threads = resolve_threads(args);
   req.want_stats = args.has("stats");
-  std::string raw;
-  serve::ServeClient client(get_value_flag(args, "server", ""));
-  const JsonValue resp = client.roundtrip(req, &raw);
-  if (!response_ok(resp)) return report_server_error("color", resp);
-  const JsonValue* result = resp.find("result");
-  DC_CHECK(result != nullptr, "server response has no \"result\"");
+  const ServerReply reply(get_value_flag(args, "server", ""), req);
+  if (!reply.ok) return reply.report("color");
+  const JsonValue* result = reply.result();
   const JsonValue* file = result->find("coloring_file");
   DC_CHECK(file != nullptr, "server response has no \"coloring_file\"");
   with_output(args, [&](std::ostream& os) { os << file->string_value; });
   const std::string stats_path = get_value_flag(args, "stats", "");
   if (!stats_path.empty()) {
-    const JsonValue* stats = resp.find("stats");
+    const JsonValue* stats = reply.doc.find("stats");
     DC_CHECK(stats != nullptr, "server returned no stats document");
-    write_json_file(stats_path, raw_span(raw, *stats));
+    write_json_file(stats_path, reply.bytes(*stats));
     if (!quiet) {
       std::fprintf(stderr, "wrote stats JSON to %s\n", stats_path.c_str());
     }
@@ -383,18 +390,15 @@ int run_verify_via_server(const ArgParser& args, const std::string& path) {
   req.op = "verify";
   req.coloring_text = slurp_file(path);
   req.proper_only = get_bool_strict(args, "proper-only");
-  serve::ServeClient client(get_value_flag(args, "server", ""));
-  const JsonValue resp = client.roundtrip(req);
-  if (!response_ok(resp)) {
+  const ServerReply reply(get_value_flag(args, "server", ""), req);
+  if (!reply.ok) {
     // Any failed verification attempt — corrupt file, unknown spec — is a
     // data problem: exit 1, like the local path.
-    const JsonValue* msg = resp.find("message");
     std::fprintf(stderr, "INVALID: %s\n",
-                 msg != nullptr ? msg->string_value.c_str() : "server error");
+                 reply.text("message", "server error").c_str());
     return kExitFailure;
   }
-  const JsonValue* result = resp.find("result");
-  DC_CHECK(result != nullptr, "server response has no \"result\"");
+  const JsonValue* result = reply.result();
   const JsonValue* valid = result->find("valid");
   DC_CHECK(valid != nullptr, "server response has no \"valid\"");
   if (!valid->bool_value) {
@@ -425,13 +429,11 @@ int run_stats_via_server(const ArgParser& args) {
   req.graph_spec = client_graph_spec(args);
   req.palette_spec = client_palette_spec(args);
   req.threads = resolve_threads(args);
-  std::string raw;
-  serve::ServeClient client(get_value_flag(args, "server", ""));
-  const JsonValue resp = client.roundtrip(req, &raw);
-  if (!response_ok(resp)) return report_server_error("stats", resp);
-  const JsonValue* stats = resp.find("stats");
+  const ServerReply reply(get_value_flag(args, "server", ""), req);
+  if (!reply.ok) return reply.report("stats");
+  const JsonValue* stats = reply.doc.find("stats");
   DC_CHECK(stats != nullptr, "server returned no stats document");
-  const std::string doc = raw_span(raw, *stats);
+  const std::string doc = reply.bytes(*stats);
   with_output(args, [&](std::ostream& os) { os << doc << '\n'; });
   return kExitOk;
 }
@@ -952,17 +954,12 @@ CellOutcome run_cell_via_server(const std::string& endpoint,
     req.seed = spec.algo_seed;
     req.threads = threads;
     req.timeout_seconds = spec.timeout_seconds;
-    std::string raw;
-    serve::ServeClient client(endpoint);
-    const JsonValue resp = client.roundtrip(req, &raw);
-    if (!response_ok(resp)) {
-      const JsonValue* cls = resp.find("error_class");
-      const JsonValue* msg = resp.find("message");
-      return failed_cell(cls != nullptr ? cls->string_value : "internal",
-                         msg != nullptr ? msg->string_value : "server error");
+    const ServerReply reply(endpoint, req);
+    if (!reply.ok) {
+      return failed_cell(reply.text("error_class", "internal"),
+                         reply.text("message", "server error"));
     }
-    const JsonValue* result = resp.find("result");
-    DC_CHECK(result != nullptr, "server response has no \"result\"");
+    const JsonValue* result = reply.result();
     const JsonValue* rounds = result->find("rounds");
     const JsonValue* colors = result->find("colors_used");
     DC_CHECK(rounds != nullptr && colors != nullptr,
@@ -972,9 +969,9 @@ CellOutcome run_cell_via_server(const std::string& endpoint,
     out.cell.rounds = static_cast<std::uint64_t>(rounds->number);
     out.cell.colors = static_cast<std::size_t>(colors->number);
     if (const JsonValue* mpc = result->find("mpc")) {
-      out.cell.mpc_json = raw_span(raw, *mpc);
+      out.cell.mpc_json = reply.bytes(*mpc);
     }
-    if (const JsonValue* transient = resp.find("transient")) {
+    if (const JsonValue* transient = reply.doc.find("transient")) {
       if (const JsonValue* wall = transient->find("wall_seconds")) {
         out.cell.wall_seconds = wall->number;
       }

@@ -61,10 +61,4 @@ inline std::uint64_t ipow(std::uint64_t a, unsigned b) {
   return r;
 }
 
-/// log2(log2(x)) guarded for tiny x; used for the Theorem 1.4 round shape.
-inline double loglog2(double x) {
-  if (x < 4.0) return 1.0;
-  return std::log2(std::log2(x));
-}
-
 }  // namespace detcol

@@ -19,7 +19,7 @@ TEST(ColorReduce, DeltaPlusOneOnGnp) {
   const auto r = color_reduce(g, pal);
   expect_valid(g, pal, r);
   EXPECT_GT(r.ledger.total_rounds(), 0u);
-  EXPECT_GE(r.num_collects, 1u);
+  EXPECT_GE(r.mpc.num_collects, 1u);
 }
 
 TEST(ColorReduce, ListColoringOnRegular) {
@@ -42,7 +42,7 @@ TEST(ColorReduce, TinyInstanceIsCollectedDirectly) {
   const auto r = color_reduce(g, pal);
   expect_valid(g, pal, r);
   EXPECT_EQ(r.num_partitions, 0u);
-  EXPECT_EQ(r.num_collects, 1u);
+  EXPECT_EQ(r.mpc.num_collects, 1u);
   EXPECT_TRUE(r.root.collected);
 }
 
@@ -109,7 +109,7 @@ TEST(ColorReduce, CollectCapacityRespected) {
   ColorReduceConfig cfg;
   const auto r = color_reduce(g, pal, cfg);
   expect_valid(g, pal, r);
-  EXPECT_LE(r.peak_collect_words,
+  EXPECT_LE(r.mpc.peak_local_words,
             static_cast<std::uint64_t>(cfg.collect_slack * 1200));
 }
 
@@ -136,7 +136,7 @@ TEST(ColorReduce, MirrorImplicitMatchesExplicit) {
     const std::uint64_t m_plus_n = g.num_edges() + n;
     EXPECT_EQ(r.explicit_palette_words, n * (g.max_degree() + 1));
     EXPECT_LE(r.implicit_store->space_words(), m_plus_n);
-    EXPECT_LE(r.peak_collect_words,
+    EXPECT_LE(r.mpc.peak_local_words,
               static_cast<std::uint64_t>(cfg.collect_slack * n));
     return static_cast<double>(r.implicit_store->space_words()) /
            static_cast<double>(m_plus_n);

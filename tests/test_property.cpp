@@ -82,7 +82,7 @@ TEST_P(ColorReduceProperty, ProducesVerifiedColoringWithinModelLimits) {
   ASSERT_TRUE(v.ok) << family_name(family) << "/" << palette_name(pmode)
                     << " n=" << n << ": " << v.issue;
   // Space: collected instances always fit a machine.
-  EXPECT_LE(r.peak_collect_words,
+  EXPECT_LE(r.mpc.peak_local_words,
             static_cast<std::uint64_t>(cfg.collect_slack * g.num_nodes()));
   // Depth safety: the paper proves <= 9 at asymptotic scale; practical runs
   // must stay within the same ballpark, far below the hard cap.

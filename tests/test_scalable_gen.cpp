@@ -24,8 +24,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// One temporary directory per test: ctest runs the cases of this suite as
+/// concurrent processes, and several of them write files of the same name.
 fs::path test_dir() {
-  const fs::path dir = fs::path(::testing::TempDir()) / "detcol_scalable_gen";
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "detcol_scalable_gen" /
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
   fs::create_directories(dir);
   return dir;
 }
