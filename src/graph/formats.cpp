@@ -29,7 +29,7 @@ std::string_view line_view(std::string_view buf, LineSpan span) {
 }
 
 // ---------------------------------------------------------------------------
-// Little-endian scalar encoding + FNV-1a, the .dcg building blocks.
+// Little-endian scalar encoding, the .dcg building block.
 // ---------------------------------------------------------------------------
 
 void append_le(std::string* out, std::uint64_t v, int bytes) {
@@ -45,15 +45,6 @@ std::uint64_t read_le(std::string_view bytes, std::size_t offset, int width) {
          << (8 * i);
   }
   return v;
-}
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 // .dcg layout offsets (see docs/FORMATS.md): magic[8], n u64, m u64,
@@ -363,6 +354,14 @@ void write_metis(std::ostream& os, const Graph& g) {
 // The .dcg binary CSR container.
 // ---------------------------------------------------------------------------
 
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t state) {
+  for (const char c : bytes) {
+    state ^= static_cast<unsigned char>(c);
+    state *= 1099511628211ull;
+  }
+  return state;
+}
+
 std::string dcg_bytes(const Graph& g) {
   const NodeId n = g.num_nodes();
   const std::uint64_t m = g.num_edges();
@@ -414,17 +413,16 @@ Graph parse_dcg(std::string_view bytes, const std::string& what) {
   const std::uint64_t actual = fnv1a64(bytes.substr(0, bytes.size() - 8));
   DC_CHECK(stored == actual, what, ": checksum mismatch (corrupt file)");
 
+  // The arrays are little-endian u64 and u32, the host's own layout of
+  // std::size_t and NodeId (graph.cpp static_asserts it): one memcpy each.
   const auto n = static_cast<NodeId>(n64);
   std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1);
-  std::size_t at = kDcgHeaderBytes;
-  for (auto& o : offsets) {
-    o = static_cast<std::size_t>(read_le(bytes, at, 8));
-    at += 8;
-  }
+  const std::size_t offsets_bytes = offsets.size() * sizeof(std::size_t);
+  std::memcpy(offsets.data(), bytes.data() + kDcgHeaderBytes, offsets_bytes);
   std::vector<NodeId> adj(static_cast<std::size_t>(2 * m));
-  for (auto& a : adj) {
-    a = static_cast<NodeId>(read_le(bytes, at, 4));
-    at += 4;
+  if (!adj.empty()) {  // an empty vector's data() may be null
+    std::memcpy(adj.data(), bytes.data() + kDcgHeaderBytes + offsets_bytes,
+                adj.size() * sizeof(NodeId));
   }
   try {
     return Graph::from_csr(std::move(offsets), std::move(adj));

@@ -91,6 +91,15 @@ void write_metis(std::ostream& os, const Graph& g);
 inline constexpr unsigned char kDcgMagic[8] = {'D',  'C',  'G',  '1',
                                                0x0d, 0x0a, 0x1a, 0x0a};
 
+/// FNV-1a-64 offset basis: the hash state before any byte.
+inline constexpr std::uint64_t kFnv1a64Basis = 14695981039346656037ull;
+
+/// FNV-1a-64 of `bytes`, continuing from `state`. The .dcg trailer's
+/// checksum, and the serving layer's content and power-table keys. A stream
+/// hashes piecewise: fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b).
+std::uint64_t fnv1a64(std::string_view bytes,
+                      std::uint64_t state = kFnv1a64Basis);
+
 /// Serialized .dcg bytes of `g` (explicit little-endian, so the encoding is
 /// platform-independent and byte-comparable in tests).
 std::string dcg_bytes(const Graph& g);

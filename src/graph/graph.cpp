@@ -9,13 +9,14 @@
 namespace detcol {
 
 // The mapped rebind reinterprets the on-disk little-endian u64 offsets array
-// as std::size_t. Both assumptions are compile-time facts of every supported
-// target (x86-64 / aarch64 Linux); a port to a platform where either fails
-// must fall back to the eager parse_dcg path.
+// as std::size_t, and parse_dcg memcpys both .dcg arrays into std::size_t
+// and NodeId vectors. Both assumptions are compile-time facts of every
+// supported target (x86-64 / aarch64 Linux); a port to a platform where
+// either fails must decode the arrays byte by byte instead.
 static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
-              "mapped .dcg offsets require 64-bit std::size_t");
+              ".dcg offsets require 64-bit std::size_t");
 static_assert(std::endian::native == std::endian::little,
-              "mapped .dcg arrays require a little-endian host");
+              ".dcg arrays require a little-endian host");
 
 // ---------------------------------------------------------------------------
 // MappedCsr: lazy per-block structural validation.
@@ -110,6 +111,21 @@ NodeId max_gap(const std::vector<std::size_t>& offsets) {
   return static_cast<NodeId>(m);
 }
 
+/// True when every arc of the CSR has its reverse. Needs in-range,
+/// loop-free, strictly increasing lists (from_csr checks them first).
+bool symmetric_by_cursors(const std::size_t* offsets, const NodeId* adj,
+                          NodeId n) {
+  std::vector<std::size_t> cursor(offsets, offsets + n);  // next unmatched
+  for (NodeId v = 0; v < n; ++v) {
+    for (std::size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      const NodeId w = adj[i];
+      if (cursor[w] == offsets[w + 1] || adj[cursor[w]] != v) return false;
+      ++cursor[w];
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Graph Graph::from_edges(NodeId num_nodes, std::span<const Edge> edges) {
@@ -174,12 +190,21 @@ Graph Graph::from_csr(std::vector<std::size_t> offsets,
     }
   }
   // Symmetry: every directed arc must have its reverse (the undirected
-  // contract every algorithm in the tree assumes).
-  for (NodeId v = 0; v < n; ++v) {
-    for (const NodeId w : g.neighbors(v)) {
-      DC_CHECK(g.has_edge(w, v), "CSR adjacency is asymmetric: node ", v,
-               " lists ", w, " but not vice versa");
+  // contract every algorithm in the tree assumes). One pass with a cursor
+  // per node: walking v in ascending order, each arc (v, w) must be w's
+  // next unmatched entry. The lists are strictly increasing, so this holds
+  // exactly when the CSR is symmetric, and then every cursor ends at the
+  // end of its list (as many entries matched as there are arcs). O(n + m).
+  if (!symmetric_by_cursors(g.offsets_p_, g.adj_p_, n)) {
+    // Name the first asymmetric arc in (v, w) order, which the cursors need
+    // not have met first: rescan with one binary search per arc.
+    for (NodeId v = 0; v < n; ++v) {
+      for (const NodeId w : g.neighbors(v)) {
+        DC_CHECK(g.has_edge(w, v), "CSR adjacency is asymmetric: node ", v,
+                 " lists ", w, " but not vice versa");
+      }
     }
+    DC_CHECK(false, "internal: CSR symmetry scans disagree");
   }
   return g;
 }

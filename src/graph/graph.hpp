@@ -43,10 +43,11 @@ class MappedFile;  // util/mmap_file.hpp
 /// Lazy validation contract: validate_block(v) checks the structural CSR
 /// invariants (neighbors strictly increasing, in range, no self-loop) for
 /// the fixed-size vertex block containing v, exactly the checks
-/// Graph::from_csr applies eagerly — except symmetry, which needs O(m log Δ)
-/// cross-block probes and is deliberately NOT re-verified on the mapped
-/// path (the .dcg writers only emit symmetric CSR; `detcol convert` through
-/// the eager parser re-checks it). The per-block "done" bits are atomics:
+/// Graph::from_csr applies eagerly — except symmetry, an O(n + m) pass that
+/// reads across every block (one random read per arc), deliberately NOT
+/// re-verified on the mapped path (the .dcg writers only emit symmetric
+/// CSR; `detcol convert` through the eager parser re-checks it). The
+/// per-block "done" bits are atomics:
 /// two threads may validate one block concurrently (idempotent reads of
 /// immutable pages), and the release/acquire pair orders the check before
 /// any use that skips it. A corrupt block throws CheckError naming the file
@@ -108,8 +109,8 @@ class Graph {
   /// with offsets[0] == 0 and offsets[n] == adj.size(); every adjacency list
   /// must be strictly increasing (sorted, no duplicates, no self-loop) and
   /// symmetric (u in adj(v) iff v in adj(u)). All of this is DC_CHECKed —
-  /// O(n + m log Δ) validation — so a malformed file cannot produce a graph
-  /// that violates the class invariants.
+  /// O(n + m) validation — so a malformed file cannot produce a graph that
+  /// violates the class invariants.
   static Graph from_csr(std::vector<std::size_t> offsets,
                         std::vector<NodeId> adj);
 

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -113,10 +114,21 @@ std::string slurp_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   DC_CHECK(is.good(), "cannot open ", path, " for reading: ",
            std::strerror(errno));
-  std::ostringstream os;
-  os << is.rdbuf();
+  // One read into a buffer sized from the file's length, then on to EOF:
+  // a file that grew meanwhile, or one with no length (a pipe), still
+  // arrives whole.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::string out(ec ? 0 : static_cast<std::size_t>(size), '\0');
+  is.read(out.data(), static_cast<std::streamsize>(out.size()));
+  out.resize(static_cast<std::size_t>(is.gcount()));
+  if (is && is.peek() != std::ifstream::traits_type::eof()) {
+    std::ostringstream rest;
+    rest << is.rdbuf();
+    out += std::move(rest).str();
+  }
   DC_CHECK(!is.bad(), "read from ", path, " failed: ", std::strerror(errno));
-  return std::move(os).str();
+  return out;
 }
 
 void write_edge_list(std::ostream& os, const Graph& g) {

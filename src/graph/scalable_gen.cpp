@@ -89,26 +89,39 @@ void raw_read_append(const std::string& path, std::vector<T>* out) {
 // ---------------------------------------------------------------------------
 // ArcStore: chunked staging area between the producers and the writer.
 //
-// An arc (owner, other) is packed into one u64 (owner in the high half), so
-// sorting a chunk's packed arcs IS the canonical (owner, other) CSR order.
-// Producers append concurrently (one mutex; they batch through Flusher so
-// the lock is cold); past the byte budget every bucket spills to a per-chunk
-// temp file. After producers finish, finalize_chunk() sorts + dedups one
-// chunk and converts it to its adjacency slice, which take_adj() later
-// yields to the writer in file order. The spill decisions never change the
-// output: sort+unique canonicalizes whatever interleaving produced.
+// An arc (owner, other) is packed into one u64 (owner in the high half) and
+// routed to the chunk owning its source vertex. Producers append
+// concurrently (one mutex; they batch through Flusher so the lock is cold);
+// past the byte budget every bucket spills to a per-chunk temp file. After
+// producers finish, finalize_chunk() counting-sorts one chunk's arcs by
+// owner and sorts + dedups each owner's short list, which gives the chunk's
+// slice of the canonical (owner, other) CSR adjacency; take_adj() later
+// yields the slices to the writer in file order. The spill decisions never
+// change the output: the per-owner sort + dedup canonicalizes whatever
+// interleaving produced.
 // ---------------------------------------------------------------------------
 
-constexpr NodeId kChunkVertices = 1u << 20;
 constexpr std::size_t kFlushArcs = std::size_t{1} << 15;
+
+/// log2 of the vertices per chunk: a power of two computed from n alone (so
+/// chunk boundaries, and with them the bytes, never depend on the thread
+/// count or the budget). About n/64, so the finalize spreads over ~64
+/// chunks, clamped to [2^10, 2^20] so each chunk's arrays stay cache-sized.
+unsigned chunk_shift(NodeId n) {
+  const std::uint64_t len = std::clamp<std::uint64_t>(
+      std::bit_ceil(std::uint64_t{n} / 64), std::uint64_t{1} << 10,
+      std::uint64_t{1} << 20);
+  return static_cast<unsigned>(std::countr_zero(len));
+}
 
 class ArcStore {
  public:
   ArcStore(NodeId n, std::string spill_dir, std::size_t budget_bytes)
-      : n_(n), spill_dir_(std::move(spill_dir)), budget_(budget_bytes) {
-    chunks_ = (static_cast<std::size_t>(n) + kChunkVertices - 1) /
-              kChunkVertices;
-    if (chunks_ == 0) chunks_ = 1;
+      : n_(n),
+        shift_(chunk_shift(n)),
+        spill_dir_(std::move(spill_dir)),
+        budget_(budget_bytes) {
+    chunks_ = ((static_cast<std::size_t>(n) - 1) >> shift_) + 1;
     raw_.resize(chunks_);
     adj_mem_.resize(chunks_);
     adj_on_disk_.assign(chunks_, 0);
@@ -133,14 +146,13 @@ class ArcStore {
   void append(const std::vector<std::uint64_t>& packed) {
     std::lock_guard<std::mutex> lock(mu_);
     for (const std::uint64_t arc : packed) {
-      raw_[static_cast<std::size_t>(arc >> 32) / kChunkVertices].push_back(
-          arc);
+      raw_[arc >> (32 + shift_)].push_back(arc);
     }
     mem_bytes_ += packed.size() * sizeof(std::uint64_t);
     if (mem_bytes_ > budget_) spill_locked();
   }
 
-  /// Sort + dedup chunk `c`, bump `degrees[owner]` for every surviving arc
+  /// Sort + dedup chunk `c`, set `degrees[owner]` for each of its owners
   /// (owners of distinct chunks are disjoint vertex ranges, so concurrent
   /// finalizes write disjoint slots), and stash the adjacency slice for
   /// take_adj. Call only after every producer has finished.
@@ -155,17 +167,36 @@ class ArcStore {
       std::error_code ec;
       std::filesystem::remove(arc_path(c), ec);
     }
-    std::sort(arcs.begin(), arcs.end());
-    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-    std::vector<NodeId> adj;
-    adj.reserve(arcs.size());
+    // Counting sort by owner: count, prefix-sum, scatter the `other` halves.
+    // Afterwards ends[i] is where owner i's run ends (and i+1's begins).
+    const NodeId first = static_cast<NodeId>(c << shift_);
+    const std::size_t owners =
+        std::min<std::size_t>(std::size_t{1} << shift_, n_ - first);
+    std::vector<std::size_t> ends(owners + 1, 0);
     for (const std::uint64_t arc : arcs) {
-      const auto owner = static_cast<NodeId>(arc >> 32);
-      DC_ASSERT(owner / kChunkVertices == c && owner < n_);
-      ++degrees[owner];
-      adj.push_back(static_cast<NodeId>(arc & 0xffffffffu));
+      DC_ASSERT((arc >> 32) - first < owners);
+      ++ends[(arc >> 32) - first + 1];
+    }
+    for (std::size_t i = 0; i < owners; ++i) ends[i + 1] += ends[i];
+    std::vector<NodeId> adj(arcs.size());
+    for (const std::uint64_t arc : arcs) {
+      adj[ends[(arc >> 32) - first]++] = static_cast<NodeId>(arc);
     }
     arcs = {};
+    // Sort each owner's short run and keep its distinct entries, compacting
+    // them to the front (the write cursor never passes the read cursor).
+    std::size_t kept = 0, begin = 0;
+    for (std::size_t i = 0; i < owners; ++i) {
+      const std::size_t end = ends[i];
+      std::sort(adj.begin() + begin, adj.begin() + end);
+      const std::size_t from = kept;
+      for (std::size_t j = begin; j < end; ++j) {
+        if (kept == from || adj[kept - 1] != adj[j]) adj[kept++] = adj[j];
+      }
+      degrees[first + i] = static_cast<NodeId>(kept - from);
+      begin = end;
+    }
+    adj.resize(kept);
     if (made_dir_) {  // this run spilled: keep finals out-of-core too
       if (!adj.empty()) {
         raw_append(adj_path(c), adj.data(), adj.size() * sizeof(NodeId));
@@ -212,6 +243,7 @@ class ArcStore {
   }
 
   NodeId n_;
+  unsigned shift_;  // chunk c holds owners [c << shift_, (c + 1) << shift_)
   std::string spill_dir_;
   std::size_t budget_;
   std::size_t chunks_ = 0;
@@ -441,11 +473,7 @@ class HashingSink {
  public:
   explicit HashingSink(ByteSink& out) : out_(out) {}
   void write(const void* data, std::size_t len) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-      h_ ^= p[i];
-      h_ *= 1099511628211ull;
-    }
+    h_ = fnv1a64(std::string_view(static_cast<const char*>(data), len), h_);
     out_.write(data, len);
   }
   void write(std::string_view bytes) { write(bytes.data(), bytes.size()); }
@@ -453,7 +481,7 @@ class HashingSink {
 
  private:
   ByteSink& out_;
-  std::uint64_t h_ = 14695981039346656037ull;
+  std::uint64_t h_ = kFnv1a64Basis;
 };
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "serve/instance_store.hpp"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "cli/spec.hpp"
@@ -9,30 +10,18 @@
 
 namespace detcol::serve {
 
-std::uint64_t fnv1a64_bytes(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 namespace {
 
+/// FNV-1a over the words (independence, |points|, points...), each as its
+/// 8 native (little-endian) bytes.
 std::uint64_t table_key(std::span<const std::uint64_t> points,
                         unsigned independence) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (unsigned i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
+  const auto bytes = [](std::span<const std::uint64_t> words) {
+    return std::string_view(reinterpret_cast<const char*>(words.data()),
+                            words.size_bytes());
   };
-  mix(independence);
-  mix(points.size());
-  for (const std::uint64_t p : points) mix(p);
-  return h;
+  const std::uint64_t head[] = {independence, points.size()};
+  return fnv1a64(bytes(points), fnv1a64(bytes(head)));
 }
 
 }  // namespace
@@ -150,8 +139,8 @@ InstanceStore::Acquired InstanceStore::acquire(
   // precisely because it does not fit in RAM as a heap CSR.
   const std::string_view mapped = built.graph.mapped_bytes();
   const std::uint64_t sum = !mapped.empty()
-                                ? fnv1a64_bytes(mapped)
-                                : fnv1a64_bytes(dcg_bytes(built.graph));
+                                ? fnv1a64(mapped)
+                                : fnv1a64(dcg_bytes(built.graph));
   const auto by_sum = by_sum_.find(sum);
   if (by_sum != by_sum_.end()) {
     ++hits_;

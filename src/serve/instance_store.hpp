@@ -36,7 +36,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "exec/exec.hpp"
@@ -114,10 +113,6 @@ class ServeInstance {
   std::map<std::string, std::string> palette_alias_;  // raw -> canonical
   std::map<std::string, std::shared_ptr<const PaletteSet>> palette_cache_;
 };
-
-/// FNV-1a 64-bit over arbitrary bytes (the .dcg container uses the same
-/// function for its trailer checksum).
-std::uint64_t fnv1a64_bytes(std::string_view bytes);
 
 class InstanceStore {
  public:

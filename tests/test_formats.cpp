@@ -112,6 +112,20 @@ TEST(Formats, DcgBadMagicAndTrailingBytesRejected) {
   EXPECT_THROW(parse_dcg(bytes + "x"), CheckError);
 }
 
+/// Recompute the FNV-1a trailer of a patched .dcg payload (a reference copy
+/// of the checksum, independent of src/), so only the structural checks can
+/// reject it.
+void rechecksum(std::string* bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::size_t i = 0; i < bytes->size() - 8; ++i) {
+    h ^= static_cast<unsigned char>((*bytes)[i]);
+    h *= 1099511628211ull;
+  }
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[bytes->size() - 8 + i] = static_cast<char>((h >> (8 * i)) & 0xff);
+  }
+}
+
 TEST(Formats, DcgStructuralCorruptionCaughtByCsrValidation) {
   // Rebuild a payload whose checksum is valid but whose CSR is malformed:
   // serialize a graph, patch an adjacency entry to a self-loop, re-checksum.
@@ -124,16 +138,88 @@ TEST(Formats, DcgStructuralCorruptionCaughtByCsrValidation) {
   bytes[adj_begin + 1] = 0;
   bytes[adj_begin + 2] = 0;
   bytes[adj_begin + 3] = 0;
-  // Recompute the FNV-1a checksum so only the structural check can fire.
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < bytes.size() - 8; ++i) {
-    h ^= static_cast<unsigned char>(bytes[i]);
-    h *= 1099511628211ull;
-  }
-  for (int i = 0; i < 8; ++i) {
-    bytes[bytes.size() - 8 + i] = static_cast<char>((h >> (8 * i)) & 0xff);
-  }
+  rechecksum(&bytes);
   EXPECT_THROW(parse_dcg(bytes), CheckError);
+}
+
+/// Checksum-valid .dcg bytes whose CSR is `lists` (one adjacency list per
+/// node, in order). `lists` must hold an even number of entries, since the
+/// header counts undirected edges.
+std::string dcg_payload(const std::vector<std::vector<NodeId>>& lists) {
+  std::string bytes(reinterpret_cast<const char*>(kDcgMagic),
+                    sizeof(kDcgMagic));
+  const auto put = [&bytes](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  std::uint64_t arcs = 0;
+  for (const auto& list : lists) arcs += list.size();
+  put(lists.size(), 8);  // n
+  put(arcs / 2, 8);      // m
+  put(0, 8);             // flags
+  std::uint64_t offset = 0;
+  put(offset, 8);
+  for (const auto& list : lists) put(offset += list.size(), 8);
+  for (const auto& list : lists) {
+    for (const NodeId w : list) put(w, 4);
+  }
+  bytes.append(8, '\0');
+  rechecksum(&bytes);
+  return bytes;
+}
+
+TEST(Formats, DcgAsymmetryNamesTheFirstAsymmetricArc) {
+  // Checksum-valid, structurally sound CSRs whose only defect is asymmetry.
+  // An even arc count means at least two asymmetric arcs; the error names
+  // the first in (node, neighbor) order, whichever one the check meets
+  // first.
+  const struct {
+    const char* what;
+    std::vector<std::vector<NodeId>> lists;
+    const char* pair;
+  } cases[] = {
+      {"missing reverse arc: ring(8) whose node 2 lists 0 instead of 1",
+       {{1, 7}, {0, 2}, {0, 3}, {2, 4}, {3, 5}, {4, 6}, {5, 7}, {0, 6}},
+       "node 1 lists 2 but not vice versa"},
+      {"met late: 0 does not list 3, so the check trips on node 2's arc to "
+       "3 (3's next unmatched entry is 0) before it reaches the culprit",
+       {{1}, {0}, {3}, {0, 2, 4}, {1, 3}},
+       "node 3 lists 0 but not vice versa"},
+      {"surplus last entries: the final node lists 2 and 3, which do not "
+       "list it",
+       {{1}, {0, 4}, {3}, {2}, {1, 2, 3}},
+       "node 4 lists 2 but not vice versa"},
+      {"used-up list: node 1 lists the final node after its one entry (0) "
+       "is matched, at the very end of the adjacency array",
+       {{4}, {2, 4}, {1}, {0}, {0}},
+       "node 1 lists 4 but not vice versa"},
+  };
+  for (const auto& c : cases) {
+    try {
+      parse_dcg(dcg_payload(c.lists), "asym");
+      ADD_FAILURE() << c.what << ": asymmetric CSR accepted";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("CSR adjacency is asymmetric: ") +
+                          c.pair),
+                std::string::npos)
+          << c.what << ": " << what;
+    }
+  }
+}
+
+TEST(Formats, CheckErrorNamesItsSourceFromTheRepositoryRoot) {
+  // DC_CHECK messages reach users (and the server relays them), so the
+  // source location must not depend on where the tree was checked out.
+  try {
+    parse_dcg("DCG1", "short");
+    FAIL() << "truncated .dcg accepted";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/graph/formats.cpp:"), std::string::npos)
+        << what;
+  }
 }
 
 // ---------------------------------------------------------------------------

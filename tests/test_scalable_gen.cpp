@@ -16,7 +16,6 @@
 #include "graph/formats.hpp"
 #include "graph/io.hpp"
 #include "graph/scalable_gen.hpp"
-#include "serve/instance_store.hpp"
 #include "util/check.hpp"
 
 namespace detcol {
@@ -92,12 +91,27 @@ ScalableGenSpec sgnp_spec(NodeId n, double p, std::uint64_t seed) {
 // single byte of the output container.
 // ---------------------------------------------------------------------------
 
+/// One input per family whose vertex range spans many finalize chunks and
+/// ends in a partial one: at n = 100,003 a chunk holds 2^11 vertices, so
+/// there are 48 full chunks and a 49th of 1,699 vertices. Chunk boundaries
+/// must never reach the bytes.
+const ScalableGenSpec kManyChunkSpecs[] = {
+    ba_spec(100003, 2, 11),
+    rgg_spec(100003, 0.004, 12),
+    sgnm_spec(100003, 200000, 13),
+    sgnp_spec(100003, 4.0 / 100002, 14),
+};
+
 TEST(ScalableGen, ByteIdenticalAcrossThreadCounts) {
   const ScalableGenSpec specs[] = {
       ba_spec(20000, 5, 3),
       rgg_spec(8000, 0.02, 4),
       sgnm_spec(10000, 40000, 5),
       sgnp_spec(4000, 0.003, 6),
+      kManyChunkSpecs[0],
+      kManyChunkSpecs[1],
+      kManyChunkSpecs[2],
+      kManyChunkSpecs[3],
   };
   for (const ScalableGenSpec& spec : specs) {
     const std::string baseline = gen_bytes(spec, 1);
@@ -115,6 +129,10 @@ TEST(ScalableGen, ByteIdenticalUnderForcedSpill) {
   const ScalableGenSpec specs[] = {
       ba_spec(20000, 5, 3),
       rgg_spec(8000, 0.02, 4),
+      kManyChunkSpecs[0],
+      kManyChunkSpecs[1],
+      kManyChunkSpecs[2],
+      kManyChunkSpecs[3],
   };
   for (const ScalableGenSpec& spec : specs) {
     const std::string in_ram = gen_bytes(spec, 4);
@@ -135,13 +153,13 @@ TEST(ScalableGen, ByteIdenticalUnderForcedSpill) {
 // ---------------------------------------------------------------------------
 
 TEST(ScalableGen, GoldenFingerprints) {
-  EXPECT_EQ(serve::fnv1a64_bytes(gen_bytes(ba_spec(2000, 4, 1), 2)),
+  EXPECT_EQ(fnv1a64(gen_bytes(ba_spec(2000, 4, 1), 2)),
             0xc124a893e4b9f5ecull);
-  EXPECT_EQ(serve::fnv1a64_bytes(gen_bytes(rgg_spec(1500, 0.04, 2), 2)),
+  EXPECT_EQ(fnv1a64(gen_bytes(rgg_spec(1500, 0.04, 2), 2)),
             0x4a919a59c332a970ull);
-  EXPECT_EQ(serve::fnv1a64_bytes(gen_bytes(sgnm_spec(1200, 6000, 3), 2)),
+  EXPECT_EQ(fnv1a64(gen_bytes(sgnm_spec(1200, 6000, 3), 2)),
             0xa8aea1efcda1a8a3ull);
-  EXPECT_EQ(serve::fnv1a64_bytes(gen_bytes(sgnp_spec(900, 0.01, 4), 2)),
+  EXPECT_EQ(fnv1a64(gen_bytes(sgnp_spec(900, 0.01, 4), 2)),
             0x43b18e645b790a53ull);
 }
 
