@@ -20,8 +20,8 @@ MisBaselineResult mis_baseline_color(const Graph& g,
     r.coloring.color[v] = mis.color[v];
   }
   r.phases = mis.phases;
-  r.rounds = mis.ledger.total_rounds();
-  r.words = mis.ledger.total_words();
+  r.rounds = mis.mpc.ledger.total_rounds();
+  r.words = mis.mpc.ledger.total_words();
   r.seed_evaluations = mis.seed_evaluations;
   r.mpc = std::move(mis.mpc);
   return r;

@@ -1,13 +1,26 @@
 #include "core/classify.hpp"
 
-#include <cmath>
-
 #include "util/check.hpp"
 #include "util/math.hpp"
 
 namespace detcol {
 
 namespace classify_detail {
+namespace {
+
+// Good-bin capacity: fewer than kBinCapCoeff * n_G / b + n^kBinCapExp.
+constexpr double kBinCapCoeff = 2.0;
+constexpr double kBinCapExp = 0.6;
+
+}  // namespace
+
+NodeSlack::NodeSlack(double ell)
+    : deg(fpow(ell, kDegSlackExp)), pal(fpow(ell, kPalSlackExp)) {}
+
+double bin_capacity(std::uint64_t n, std::uint64_t b, std::uint64_t n_orig) {
+  return kBinCapCoeff * static_cast<double>(n) / static_cast<double>(b) +
+         fpow(static_cast<double>(n_orig), kBinCapExp);
+}
 
 void fill_deg_in_bin(const Graph& g, std::span<const std::uint32_t> raw_bin,
                      std::vector<std::uint32_t>& deg_in_bin,
@@ -28,8 +41,8 @@ void fill_deg_in_bin(const Graph& g, std::span<const std::uint32_t> raw_bin,
 }
 
 void finish(const Instance& inst, const PaletteSet& palettes,
-            std::uint64_t n_orig, const PartitionParams& params,
-            ClassifyScratch& scratch, ExecContext exec) {
+            std::uint64_t n_orig, ClassifyScratch& scratch,
+            ExecContext exec) {
   const Graph& g = inst.graph;
   const NodeId n = g.num_nodes();
   Classification& out = scratch.cls;
@@ -43,14 +56,11 @@ void finish(const Instance& inst, const PaletteSet& palettes,
   out.reclassified = 0;
   out.bad_graph_words = 0;
 
-  // Definition 3.1 node goodness. The expected within-bin degree share is
-  // d(v)/b (we use the realized bin count b <= ell^0.1, which only loosens
-  // the condition); slacks are the paper's ell powers. Every node's decision
-  // is independent of every other's, so the pass shards over exec: each
-  // shard writes its own bin_of slots and accumulates into its own
+  // Definition 3.1 node goodness (node_verdict). Every node's decision is
+  // independent of every other's, so the pass shards over exec: each shard
+  // writes its own bin_of slots and accumulates into its own
   // ClassifyScratch::FinishShard, folded below in shard order.
-  const double deg_slack = fpow(inst.ell, params.deg_slack_exp);
-  const double pal_slack = fpow(inst.ell, params.pal_slack_exp);
+  const NodeSlack slack(inst.ell);
   scratch.finish_shards.resize(shard_count(n));
   parallel_for_shards(exec, n, [&](std::size_t s, std::size_t begin,
                                    std::size_t end) {
@@ -61,26 +71,12 @@ void finish(const Instance& inst, const PaletteSet& palettes,
     part.bin_sizes.assign(b, 0);
     for (std::size_t i = begin; i < end; ++i) {
       const NodeId v = static_cast<NodeId>(i);
-      const double d = static_cast<double>(g.degree(v));
-      const double dshare = d / static_cast<double>(b);
-      const double dprime = static_cast<double>(out.deg_in_bin[v]);
-      bool good = std::abs(dprime - dshare) <= deg_slack;
-      if (good && raw_bin[v] != b) {
-        const double p =
-            static_cast<double>(palettes.palette_size(inst.orig[v]));
-        const double pprime = static_cast<double>(out.pal_in_bin[v]);
-        if (pprime < p / static_cast<double>(b) + pal_slack) good = false;
-        // Belt and braces: a "good" node must actually be recursively
-        // colorable — its restricted palette must exceed its bin degree.
-        // Lemma 3.2 guarantees this at the paper's asymptotic scale; at
-        // laptop scale we enforce it directly (see "Deviations from the
-        // paper" in docs/ARCHITECTURE.md).
-        if (good && pprime <= dprime) {
-          good = false;
-          ++part.reclassified;
-        }
-      }
-      if (good) {
+      const NodeVerdict verdict = node_verdict(
+          slack, b, raw_bin[v], static_cast<double>(g.degree(v)),
+          static_cast<double>(out.deg_in_bin[v]), palettes, inst.orig[v],
+          [&] { return out.pal_in_bin[v]; });
+      if (verdict == NodeVerdict::kReclassified) ++part.reclassified;
+      if (verdict == NodeVerdict::kGood) {
         out.bin_of[v] = raw_bin[v];
         ++part.bin_sizes[raw_bin[v] - 1];
       } else {
@@ -99,10 +95,7 @@ void finish(const Instance& inst, const PaletteSet& palettes,
     }
   }
 
-  // Good-bin condition: fewer than bin_cap_coeff * n_G / b + n_orig^0.6.
-  const double cap =
-      params.bin_cap_coeff * static_cast<double>(n) / static_cast<double>(b) +
-      fpow(static_cast<double>(n_orig), params.bin_cap_exp);
+  const double cap = bin_capacity(n, b, n_orig);
   for (std::uint64_t i = 0; i < b; ++i) {
     if (static_cast<double>(out.bin_sizes[i]) >= cap) ++out.num_bad_bins;
   }
@@ -147,7 +140,7 @@ const Classification& classify(const Instance& inst, const PaletteSet& palettes,
 
   classify_detail::fill_deg_in_bin(inst.graph, scratch.raw_bin,
                                    out.deg_in_bin);
-  classify_detail::finish(inst, palettes, n_orig, params, scratch);
+  classify_detail::finish(inst, palettes, n_orig, scratch);
   return out;
 }
 

@@ -8,6 +8,7 @@
 // (bad subgraph words) that Corollary 3.10 is really about.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -99,9 +100,50 @@ void fill_deg_in_bin(const Graph& g, std::span<const std::uint32_t> raw_bin,
                      std::vector<std::uint32_t>& deg_in_bin,
                      ExecContext exec = {});
 
+/// Definition 3.1's slacks at degree proxy ell: the degree deviation
+/// allowance ell^0.6 and the palette surplus ell^0.7.
+struct NodeSlack {
+  explicit NodeSlack(double ell);
+  double deg;
+  double pal;
+};
+
+enum class NodeVerdict { kGood, kBad, kReclassified };
+
+/// Definition 3.1 for node `v` (its id in `palettes`): degree `d`, `dprime`
+/// neighbors in its raw bin `bin` of `b`. Every node needs
+/// |d' - d/b| <= ell^0.6; the expected within-bin degree share is d/b with
+/// the realized bin count b <= ell^0.1, which only loosens the condition. A
+/// node in a color bin (bin < b) also needs p'(v) >= p(v)/b + ell^0.7, and
+/// p'(v) > d'(v) so that it stays colorable (kReclassified when only that
+/// last test fails). `pprime()` counts p'(v); like p(v), it is read only
+/// for a color-bin node that passed the degree test. finish() and the
+/// message-level round (core/network_color.cpp) both decide through this
+/// one test.
+template <class PPrimeFn>
+NodeVerdict node_verdict(const NodeSlack& slack, std::uint64_t b,
+                         std::uint64_t bin, double d, double dprime,
+                         const PaletteSet& palettes, NodeId v,
+                         PPrimeFn&& pprime) {
+  const double bins = static_cast<double>(b);
+  if (!(std::abs(dprime - d / bins) <= slack.deg)) return NodeVerdict::kBad;
+  if (bin == b) return NodeVerdict::kGood;  // the last bin gets no colors
+  const double p = static_cast<double>(palettes.palette_size(v));
+  const double pp = static_cast<double>(pprime());
+  if (pp < p / bins + slack.pal) return NodeVerdict::kBad;
+  // Belt and braces: Lemma 3.2 guarantees p' > d' at the paper's asymptotic
+  // scale; at laptop scale we enforce it directly (see "Deviations from the
+  // paper" in docs/ARCHITECTURE.md).
+  return pp <= dprime ? NodeVerdict::kReclassified : NodeVerdict::kGood;
+}
+
+/// The good-bin capacity: a bin of an `n`-node instance split into `b` bins
+/// is good with fewer than 2 * n / b + n_orig^0.6 good nodes.
+double bin_capacity(std::uint64_t n, std::uint64_t b, std::uint64_t n_orig);
+
 /// The shared tail of a classification pass: given the raw bin assignment in
 /// scratch.raw_bin and d'(v) / p'(v) already filled in scratch.cls (with
-/// scratch.cls.num_bins set), applies Definition 3.1 and the good-bin
+/// scratch.cls.num_bins set), applies node_verdict and the good-bin
 /// capacity, and fills every remaining Classification field. Both the naive
 /// classify() and the batched SeedEvalEngine run through this one kernel, so
 /// their goodness arithmetic cannot drift apart. The per-node pass shards
@@ -109,8 +151,8 @@ void fill_deg_in_bin(const Graph& g, std::span<const std::uint32_t> raw_bin,
 /// independent; the per-shard counters fold in shard order), so the output
 /// is bit-identical for every thread count.
 void finish(const Instance& inst, const PaletteSet& palettes,
-            std::uint64_t n_orig, const PartitionParams& params,
-            ClassifyScratch& scratch, ExecContext exec = {});
+            std::uint64_t n_orig, ClassifyScratch& scratch,
+            ExecContext exec = {});
 
 }  // namespace classify_detail
 

@@ -15,6 +15,11 @@
 namespace detcol {
 namespace {
 
+/// Hard safety bound on recursion depth (the paper proves 9 suffices at its
+/// asymptotic parameterization, Lemma 3.14; practical runs stay well below
+/// this). A call this deep is collected directly.
+constexpr unsigned kMaxDepth = 32;
+
 /// Words needed to collect an instance onto one machine: the graph plus
 /// palettes truncated to deg+1 (Theorem 1.3's trick: dropping surplus colors
 /// before a local solve is always safe). Shard-ordered reduction over the
@@ -113,8 +118,8 @@ class Driver {
          const ColorReduceConfig& cfg)
       : g_(g),
         cfg_(cfg),
-        model_(std::max<std::uint64_t>(1, g.num_nodes()), cfg.costs,
-               cfg.route_slack, cfg.collect_slack),
+        model_(std::max<std::uint64_t>(1, g.num_nodes()), cfg.route_slack,
+               cfg.collect_slack),
         pal_(palettes),
         result_(g.num_nodes()) {}
 
@@ -241,7 +246,7 @@ class Driver {
         p.collect_factor * static_cast<double>(g_.num_nodes());
     const std::uint64_t inst_words = collect_words(inst, pal_, cfg_.exec);
     const bool small = static_cast<double>(inst_words) <= collect_limit;
-    if (small || depth >= p.max_depth || inst.ell < p.min_ell) {
+    if (small || depth >= kMaxDepth || inst.ell < p.min_ell) {
       if (!small) {
         // Expected when ell bottoms out before the size threshold; the
         // collect-capacity check still guards the model limit.

@@ -69,8 +69,7 @@ struct ColorReduceConfig {
   PartitionParams part;
   /// Deterministic namespace for all seed searches.
   std::uint64_t salt = 0x0DE7C0102ULL;
-  /// Congested-clique cost model.
-  CliqueCosts costs{};
+  /// Congested-clique model slacks (sim/clique_sim.hpp).
   double route_slack = 16.0;
   double collect_slack = 16.0;
 

@@ -14,11 +14,10 @@ std::string InvariantReport::to_string() const {
 }
 
 InvariantReport check_corollary_33(const Instance& inst,
-                                   const PaletteSet& palettes,
-                                   const PartitionParams& params) {
+                                   const PaletteSet& palettes) {
   InvariantReport r;
   const double ell = inst.ell;
-  const double deg_bound = ell + fpow(ell, params.pal_slack_exp);
+  const double deg_bound = ell + fpow(ell, kPalSlackExp);
   for (NodeId v = 0; v < inst.n(); ++v) {
     ++r.checked;
     const double p = static_cast<double>(palettes.palette_size(inst.orig[v]));
@@ -31,12 +30,10 @@ InvariantReport check_corollary_33(const Instance& inst,
 }
 
 InvariantReport check_lemma_32(const Instance& inst,
-                               const Classification& cls,
-                               const PartitionParams& params) {
+                               const Classification& cls) {
   InvariantReport r;
-  const double ell_next = next_ell(inst.ell, params);
-  const double deg_bound =
-      ell_next + fpow(ell_next, params.pal_slack_exp);
+  const double ell_next = next_ell(inst.ell);
+  const double deg_bound = ell_next + fpow(ell_next, kPalSlackExp);
   const std::uint64_t b = cls.num_bins;
   for (NodeId v = 0; v < inst.n(); ++v) {
     if (cls.bin_of[v] == 0) continue;  // bad nodes are exempt

@@ -33,15 +33,13 @@ struct InvariantReport {
 
 /// Check Corollary 3.3 on an instance about to be partitioned.
 InvariantReport check_corollary_33(const Instance& inst,
-                                   const PaletteSet& palettes,
-                                   const PartitionParams& params);
+                                   const PaletteSet& palettes);
 
 /// Check Lemma 3.2's conclusions for the good nodes of a classification:
 /// conditions (i)-(iii) with ell', d'(v), p'(v). Only color-bin nodes have a
 /// p' at classification time, so (i)/(iii) are checked for bins 1..b-1 and
 /// (ii) for all good nodes.
 InvariantReport check_lemma_32(const Instance& inst,
-                               const Classification& cls,
-                               const PartitionParams& params);
+                               const Classification& cls);
 
 }  // namespace detcol

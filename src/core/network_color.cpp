@@ -1,14 +1,12 @@
 #include "core/network_color.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "derand/distributed_mce.hpp"
 #include "hashing/kwise.hpp"
 #include "sim/routing.hpp"
 #include "util/check.hpp"
-#include "util/math.hpp"
 
 namespace detcol {
 namespace {
@@ -76,11 +74,8 @@ NetworkColorResult network_color_round(const Graph& g, const PaletteSet& pal,
   // the designated bin-capacity checker of Lemma 3.9's implementation note
   // (it knows the public id space, so it can count bin loads — an upper
   // bound on good-node loads, which only tightens the acceptance).
-  const double deg_slack = fpow(inst.ell, params.deg_slack_exp);
-  const double pal_slack = fpow(inst.ell, params.pal_slack_exp);
-  const double bin_cap =
-      params.bin_cap_coeff * static_cast<double>(n) / static_cast<double>(b) +
-      fpow(static_cast<double>(n), params.bin_cap_exp);
+  const classify_detail::NodeSlack slack(inst.ell);
+  const double bin_cap = classify_detail::bin_capacity(n, b, n);
 
   const auto node_cost = [&](std::uint32_t v, const SeedBits& s) {
     const KWiseHash h1(s.word_range(0, c), b);
@@ -91,21 +86,16 @@ NetworkColorResult network_color_round(const Graph& g, const PaletteSet& pal,
       if (h1(u) + 1 == my_bin) ++dprime;
     }
     const double d = static_cast<double>(g.degree(static_cast<NodeId>(v)));
-    bool good = std::abs(static_cast<double>(dprime) -
-                         d / static_cast<double>(b)) <= deg_slack;
-    if (good && my_bin != b) {
-      std::uint64_t pprime = 0;
-      for (const Color col : pal.palette(static_cast<NodeId>(v))) {
-        if (h2(col) + 1 == my_bin) ++pprime;
-      }
-      if (static_cast<double>(pprime) <
-              static_cast<double>(pal.palette_size(static_cast<NodeId>(v))) /
-                      static_cast<double>(b) +
-                  pal_slack ||
-          pprime <= dprime) {
-        good = false;
-      }
-    }
+    const auto verdict = classify_detail::node_verdict(
+        slack, b, my_bin, d, static_cast<double>(dprime), pal,
+        static_cast<NodeId>(v), [&] {
+          std::uint64_t pprime = 0;
+          for (const Color col : pal.palette(static_cast<NodeId>(v))) {
+            if (h2(col) + 1 == my_bin) ++pprime;
+          }
+          return pprime;
+        });
+    const bool good = verdict == classify_detail::NodeVerdict::kGood;
     double cost = good ? 0.0 : 1.0 + d;  // bad-subgraph words (Cor. 3.10)
     if (v == 0) {
       std::vector<std::uint64_t> load(b, 0);
@@ -196,23 +186,13 @@ NetworkColorResult network_color_round(const Graph& g, const PaletteSet& pal,
   }
 
   // --- 4. Last bin: palettes lose the colors announced by neighbors.
-  for (const NodeId v : bin_nodes[b - 1]) {
-    for (const NodeId u : g.neighbors(v)) {
-      if (result.coloring.is_colored(u)) {
-        work.remove_color(v, result.coloring.color[u]);
-      }
-    }
-  }
+  const auto no_op = [](NodeId, Color) {};
+  remove_neighbor_colors(g, result.coloring, bin_nodes[b - 1], work, exec,
+                         no_op);
   color_group(bin_nodes[b - 1], static_cast<std::uint32_t>(b - 1));
 
   // --- 5. G0 (bad nodes), palettes updated the same way.
-  for (const NodeId v : bad_nodes) {
-    for (const NodeId u : g.neighbors(v)) {
-      if (result.coloring.is_colored(u)) {
-        work.remove_color(v, result.coloring.color[u]);
-      }
-    }
-  }
+  remove_neighbor_colors(g, result.coloring, bad_nodes, work, exec, no_op);
   color_group(bad_nodes, static_cast<std::uint32_t>(b % n));
 
   result.network_rounds = net.round();

@@ -14,9 +14,8 @@ std::uint64_t num_bins(double ell, const PartitionParams& params) {
   return std::max<std::uint64_t>(b, params.min_bins);
 }
 
-double next_ell(double ell, const PartitionParams& params) {
-  const double v =
-      fpow(ell, params.ell_decay_exp) - fpow(ell, params.deg_slack_exp);
+double next_ell(double ell) {
+  const double v = fpow(ell, kEllDecayExp) - fpow(ell, kDegSlackExp);
   return std::max(2.0, v);
 }
 

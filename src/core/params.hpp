@@ -2,9 +2,14 @@
 //
 // The paper's constants are exponents of ell: ell^0.1 bins, ell^0.6 degree
 // slack, ell^0.7 palette slack, ell' = ell^0.9 - ell^0.6, bin capacity
-// 2*n_G*ell^-0.1 + n^0.6, and a depth-9 recursion (Lemma 3.14). All of them
-// are configurable so that benches can run ablations; defaults are the
-// paper's values.
+// 2*n_G*ell^-0.1 + n^0.6, and a depth-9 recursion (Lemma 3.14).
+//
+// The slack and decay exponents are constants (below), and so is the bin
+// capacity (core/classify.cpp). PartitionParams holds what some caller sets:
+// bench_ablation varies bin_exp, independence, collect_factor and g0_budget;
+// tests set min_bins and min_ell; tests and the randomized baseline set the
+// seed search; the serving layer sets tables. Defaults are the paper's
+// values where it has one.
 #pragma once
 
 #include <cstdint>
@@ -15,16 +20,13 @@ namespace detcol {
 
 class PowerTableProvider;  // hashing/batch_eval.hpp
 
-struct PartitionParams {
-  // Exponents of Definition 3.1 / Algorithm 2.
-  double bin_exp = 0.1;        // number of bins b = ell^bin_exp
-  double deg_slack_exp = 0.6;  // degree deviation allowance ell^0.6
-  double pal_slack_exp = 0.7;  // palette surplus requirement ell^0.7
-  double ell_decay_exp = 0.9;  // ell' = ell^0.9 - ell^0.6
+// Exponents of Definition 3.1 / Algorithm 2.
+inline constexpr double kDegSlackExp = 0.6;  // degree deviation ell^0.6
+inline constexpr double kPalSlackExp = 0.7;  // palette surplus ell^0.7
+inline constexpr double kEllDecayExp = 0.9;  // ell' = ell^0.9 - ell^0.6
 
-  // Good-bin capacity: fewer than bin_cap_coeff * n_G / b + n^bin_cap_exp.
-  double bin_cap_coeff = 2.0;
-  double bin_cap_exp = 0.6;
+struct PartitionParams {
+  double bin_exp = 0.1;  // number of bins b = ell^bin_exp
 
   /// At laptop scale ell^0.1 < 2; a partition needs at least two bins (one
   /// color bin + the colorless last bin).
@@ -40,10 +42,6 @@ struct PartitionParams {
   /// Seed acceptance: the chosen seed must give no bad bins and a bad-node
   /// subgraph G0 of at most g0_budget * n words (Corollary 3.10's O(n)).
   double g0_budget = 1.0;
-
-  /// Hard safety bound on recursion depth (the paper proves 9 suffices at
-  /// its asymptotic parameterization; practical runs stay well below this).
-  unsigned max_depth = 32;
 
   /// Below this ell a partition is pointless (slack terms exceed degrees);
   /// such instances are collected directly.
@@ -63,7 +61,7 @@ struct PartitionParams {
 std::uint64_t num_bins(double ell, const PartitionParams& params);
 
 /// ell' = ell^0.9 - ell^0.6, floored at 2.
-double next_ell(double ell, const PartitionParams& params);
+double next_ell(double ell);
 
 /// Paper trajectory bounds (Lemmas 3.11-3.13), asserted at every recursion
 /// call by RoundConstancy (tests/test_property.cpp): at recursion depth i

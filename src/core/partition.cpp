@@ -67,7 +67,7 @@ PartitionResult partition(const Instance& inst, const PaletteSet& palettes,
                          std::move(cls),
                          std::move(sel),
                          std::move(h2),
-                         next_ell(inst.ell, params),
+                         next_ell(inst.ell),
                          std::move(index),
                          std::move(color_bin)};
 }

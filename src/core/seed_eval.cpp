@@ -18,7 +18,6 @@ SeedEvalEngine::SeedEvalEngine(const Instance& inst, const PaletteSet& palettes,
     : inst_(inst),
       pal_(palettes),
       n_orig_(n_orig),
-      params_(params),
       exec_(exec),
       b_(::detcol::num_bins(inst.ell, params)),  // the free function, not
                                                  // the member accessor
@@ -92,7 +91,7 @@ const Classification& SeedEvalEngine::evaluate(const SeedBits& seed) {
     }
   });
 
-  classify_detail::finish(inst_, pal_, n_orig_, params_, scratch_, exec_);
+  classify_detail::finish(inst_, pal_, n_orig_, scratch_, exec_);
   primed_ = true;
   return out;
 }

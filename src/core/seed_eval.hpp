@@ -77,7 +77,6 @@ class SeedEvalEngine {
   const Instance& inst_;
   const PaletteSet& pal_;
   std::uint64_t n_orig_;
-  const PartitionParams& params_;
   ExecContext exec_;
   std::uint64_t b_;
   unsigned c_;

@@ -9,13 +9,16 @@
 namespace detcol {
 namespace {
 
+/// Rounds of one chunk's aggregation: Lemma 2.1's O(1)-round prefix sums.
+constexpr std::uint64_t kAggregationRounds = 2;
+
 /// Rounds the paper's MCE schedule charges for fixing `num_bits` bits in
-/// chunks of `chunk_bits`: one O(1)-round aggregation per chunk, plus one
-/// final broadcast of the winning seed.
+/// chunks of `chunk_bits`: one aggregation per chunk, plus one final
+/// broadcast of the winning seed.
 std::uint64_t schedule_rounds(unsigned num_bits,
                               const SeedSelectConfig& config) {
   const std::uint64_t chunks = ceil_div(num_bits, config.chunk_bits);
-  return chunks * config.aggregation_rounds + 1;
+  return chunks * kAggregationRounds + 1;
 }
 
 std::uint64_t schedule_words(unsigned num_bits,

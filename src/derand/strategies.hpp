@@ -22,8 +22,9 @@
 //    to validate the mechanism end-to-end.
 //
 // Every strategy charges the ledger with the *paper's* round schedule
-// (#chunks x O(1) aggregation rounds), so reported round counts reflect the
-// algorithm being reproduced, not the host-side search shortcut.
+// (#chunks x 2 aggregation rounds, Lemma 2.1's O(1), plus one broadcast), so
+// reported round counts reflect the algorithm being reproduced, not the
+// host-side search shortcut.
 //
 // All strategies mutate one candidate buffer in place (prefix + chunk value
 // + suffix completion) rather than rebuilding seeds, so consecutive cost()
@@ -53,7 +54,6 @@ struct SeedSelectConfig {
   unsigned chunk_bits = 8;        // delta*log(n) bits per MCE chunk
   unsigned mce_samples = 4;       // completions per conditional estimate
   std::uint64_t scan_max_seeds = 64;  // scan budget before giving up
-  std::uint64_t aggregation_rounds = 2;  // O(1) rounds per chunk (Lemma 2.1)
 };
 
 struct SeedSelectResult {

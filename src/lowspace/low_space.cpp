@@ -17,6 +17,14 @@
 namespace detcol {
 namespace {
 
+/// Local space s = max(kLocalSpaceFloor, kSpaceCoeff * n^{22*delta}) words.
+constexpr std::uint64_t kLocalSpaceFloor = 1 << 14;
+constexpr double kSpaceCoeff = 8.0;
+
+/// Safety cap on recursion depth: a call this deep colors everything left
+/// through the MIS reduction.
+constexpr unsigned kMaxDepth = 64;
+
 struct LsInstance {
   Graph graph;
   std::vector<NodeId> orig;
@@ -138,8 +146,8 @@ class LsDriver {
   std::uint64_t local_space() const {
     const double n = static_cast<double>(std::max<NodeId>(g_.num_nodes(), 2));
     const auto s = static_cast<std::uint64_t>(
-        p_.space_coeff * std::pow(n, 22.0 * p_.delta));
-    return std::max(p_.local_space_floor, s);
+        kSpaceCoeff * std::pow(n, 22.0 * p_.delta));
+    return std::max(kLocalSpaceFloor, s);
   }
 
   std::uint64_t total_space() const {
@@ -183,7 +191,7 @@ class LsDriver {
     st.num_mis_calls += 1;
     st.total_mis_phases += mis.phases;
     st.seed_evaluations += mis.seed_evaluations;
-    st.ledger.merge_sequential(mis.ledger);
+    st.ledger.merge_sequential(mis.mpc.ledger);
     st.mpc.merge(mis.mpc);
   }
 
@@ -203,7 +211,7 @@ class LsDriver {
           .push_back(v);
     }
 
-    if (high_local.empty() || depth >= p_.max_depth) {
+    if (high_local.empty() || depth >= kMaxDepth) {
       if (!high_local.empty()) {
         DC_LOG_WARN << "low-space recursion depth cap hit at depth " << depth;
       }

@@ -24,6 +24,12 @@
 
 namespace detcol {
 
+/// What a caller can set. The model's local space
+/// s = max(2^14, 8 * n^{22*delta}) words (the paper sets delta = eps/22,
+/// i.e. s = n^eps) and the recursion-depth cap of 64 are constants
+/// (low_space.cpp). Tests and lowspace_demo vary delta, a test sets
+/// low_deg_coeff, the CLI sets exec and tables, and perfbench reads the
+/// defaults it replays.
 struct LowSpaceParams {
   /// The paper's delta (bins per level b = max(2, floor(n^delta))).
   double delta = 0.08;
@@ -33,14 +39,9 @@ struct LowSpaceParams {
   unsigned independence = 4;
   SeedSelectConfig seed;
   MisParams mis;
-  unsigned max_depth = 64;
   /// Degree-deviation slack exponent in the good-machine condition
   /// (Definition 4.1 uses chunk^0.6; we apply it at node granularity).
   double slack_exp = 0.6;
-  /// Local space = max(local_space_floor, space_coeff * n^{22*delta}) words
-  /// (the paper sets delta = eps/22, i.e. s = n^eps).
-  std::uint64_t local_space_floor = 1 << 14;
-  double space_coeff = 8.0;
   /// Host execution context: sibling color bins recurse as pool tasks, and
   /// every per-node pass of the seed searches (partition violator counts,
   /// MIS phase simulations — `mis.exec` is overridden with this value)

@@ -32,6 +32,13 @@ struct PhaseSim {
 
 constexpr auto add = [](std::uint64_t a, std::uint64_t b) { return a + b; };
 
+/// Safety cap on phases (the theory gives O(log m)).
+constexpr unsigned kMaxPhases = 256;
+
+/// Model rounds charged per phase on top of the seed-selection schedule
+/// (priority exchange + join resolution + cleanup).
+constexpr std::uint64_t kRoundsPerPhase = 4;
+
 /// Priority of vertex x under the loaded phase seed: field value with id
 /// tiebreak.
 inline std::pair<std::uint64_t, std::uint64_t> priority(
@@ -185,8 +192,8 @@ MisColorResult solve(const Graph& g, const ReductionGraph& r,
 
   while (st.uncolored > 0) {
     params.exec.check_deadline("mis");
-    DC_CHECK(result.phases < params.max_phases,
-             "MIS failed to converge within ", params.max_phases, " phases");
+    DC_CHECK(result.phases < kMaxPhases,
+             "MIS failed to converge within ", kMaxPhases, " phases");
     const std::uint64_t remaining = st.remaining_edges;
     const double target =
         remaining == 0
@@ -218,14 +225,9 @@ MisColorResult solve(const Graph& g, const ReductionGraph& r,
         select_seed(bits, cost, target, params.seed,
                     sub_seed(salt, result.phases));
     result.seed_evaluations += sel.evaluations;
-    result.seed_rounds += sel.rounds_charged;
-    result.ledger.charge("mis-seed", sel.rounds_charged, sel.words_charged);
-    result.ledger.charge("mis-phase", params.rounds_per_phase,
-                         r.num_vertices);
     result.mpc.ledger.charge("mis-seed", sel.rounds_charged,
                              sel.words_charged);
-    result.mpc.ledger.charge("mis-phase", params.rounds_per_phase,
-                             r.num_vertices);
+    result.mpc.ledger.charge("mis-phase", kRoundsPerPhase, r.num_vertices);
 
     if (engine.load(sel.seed)) sim_valid = false;
     apply_phase(st, simulate(), params.exec);

@@ -20,7 +20,6 @@
 #include "graph/coloring.hpp"
 #include "graph/palette.hpp"
 #include "lowspace/reduction.hpp"
-#include "sim/ledger.hpp"
 #include "sim/mpc_costs.hpp"
 #include "sim/mpc_sim.hpp"
 
@@ -28,17 +27,16 @@ namespace detcol {
 
 class PowerTableProvider;  // hashing/batch_eval.hpp
 
+/// What a caller can set. The phase cap (256; the theory gives O(log m))
+/// and the 4 model rounds each phase charges on top of its seed schedule
+/// are constants (mis.cpp). A test sets removal_fraction; the CLI and the
+/// tests set exec and tables, and LowSpace overrides both with its own.
 struct MisParams {
   unsigned independence = 4;
   /// Accept a phase seed that removes at least remaining/removal_fraction
   /// conflict edges (16 mirrors Luby's m/8 expectation with slack 2).
   std::uint64_t removal_fraction = 16;
   SeedSelectConfig seed;
-  /// Safety cap on phases (the theory gives O(log m)).
-  unsigned max_phases = 256;
-  /// Model rounds charged per phase on top of the seed-selection schedule
-  /// (priority exchange + join resolution + cleanup).
-  std::uint64_t rounds_per_phase = 4;
   /// Host execution context: the phase-seed search shards its simulation
   /// passes over this pool (results are bit-identical for any thread count).
   ExecContext exec;
@@ -53,13 +51,12 @@ struct MisColorResult {
   std::vector<Color> color;
   unsigned phases = 0;
   std::uint64_t seed_evaluations = 0;
-  std::uint64_t seed_rounds = 0;   // rounds of all per-phase seed schedules
-  RoundLedger ledger;              // phase rounds + seed rounds
 
-  /// MPC cost accumulator for this call: mirrors the ledger charges and
-  /// records the reduction graph's residency footprint. When the caller
-  /// passes an MpcModel the peaks are contract-checked against its space
-  /// bounds; otherwise they are recorded unchecked.
+  /// MPC cost accumulator for this call: its ledger charges every phase's
+  /// seed schedule ("mis-seed") and phase rounds ("mis-phase"), and its
+  /// peaks record the reduction graph's residency footprint. When the
+  /// caller passes an MpcModel the peaks are contract-checked against its
+  /// space bounds; otherwise they are recorded unchecked.
   MpcCosts mpc;
 };
 

@@ -6,13 +6,21 @@
 #include "util/math.hpp"
 
 namespace detcol {
+namespace {
 
-CliqueModel::CliqueModel(std::uint64_t n, CliqueCosts costs, double route_slack,
+// Round costs of the primitives: the constants of the black-box results the
+// paper builds on. Lenzen's routing [15] takes O(1) rounds, 2 in its common
+// statement; a broadcast distributes and rebroadcasts; an aggregation
+// converge-casts a sum/min/max and rebroadcasts the result.
+constexpr std::uint64_t kLenzenRouteRounds = 2;
+constexpr std::uint64_t kBroadcastRounds = 2;
+constexpr std::uint64_t kAggregateRounds = 2;
+
+}  // namespace
+
+CliqueModel::CliqueModel(std::uint64_t n, double route_slack,
                          double collect_slack)
-    : n_(n),
-      costs_(costs),
-      route_slack_(route_slack),
-      collect_slack_(collect_slack) {
+    : n_(n), route_slack_(route_slack), collect_slack_(collect_slack) {
   DC_CHECK(n >= 1, "clique needs at least one node");
   DC_CHECK(route_slack >= 1.0, "route slack must be >= 1");
   DC_CHECK(collect_slack >= 1.0, "collect slack must be >= 1");
@@ -32,7 +40,7 @@ void CliqueModel::lenzen_route(std::uint64_t total_words,
   DC_CHECK(max_words_per_node <= route_capacity(),
            "Lenzen routing precondition violated: node moves ",
            max_words_per_node, " words but capacity is ", route_capacity());
-  acc.ledger.charge(phase, costs_.lenzen_route, total_words);
+  acc.ledger.charge(phase, kLenzenRouteRounds, total_words);
   ++acc.num_routes;
 }
 
@@ -42,7 +50,7 @@ void CliqueModel::broadcast(std::uint64_t words, const std::string& phase,
   // rebroadcasts — the standard 2-round doubling trick. Larger payloads
   // repeat the pattern.
   const std::uint64_t reps = std::max<std::uint64_t>(1, ceil_div(words, n_));
-  acc.ledger.charge(phase, costs_.broadcast * reps, words * n_);
+  acc.ledger.charge(phase, kBroadcastRounds * reps, words * n_);
   ++acc.num_broadcasts;
 }
 
@@ -54,7 +62,7 @@ void CliqueModel::aggregate(std::uint64_t candidates, const std::string& phase,
   // words), then results are rebroadcast (1 round).
   const std::uint64_t reps =
       std::max<std::uint64_t>(1, ceil_div(candidates, n_));
-  acc.ledger.charge(phase, costs_.aggregate * reps, candidates * n_);
+  acc.ledger.charge(phase, kAggregateRounds * reps, candidates * n_);
   ++acc.num_aggregates;
 }
 
@@ -65,7 +73,7 @@ void CliqueModel::collect(std::uint64_t words, const std::string& phase,
            collect_capacity(),
            " — the 'size O(n)' precondition of Algorithm 1 is violated");
   acc.peak_local_words = std::max(acc.peak_local_words, words);
-  acc.ledger.charge(phase, costs_.lenzen_route, words);
+  acc.ledger.charge(phase, kLenzenRouteRounds, words);
   ++acc.num_collects;
 }
 

@@ -9,7 +9,7 @@
 // charges its contract cost.
 //
 // Like MpcModel, the model is split along the instance/run-state boundary:
-// CliqueModel is immutable (n, cost constants, slack parameters) and shared
+// CliqueModel is immutable (n and the two slack parameters) and shared
 // read-only; every op charges into a caller-owned MpcCosts accumulator, so
 // concurrent recursion branches account without locks and merge their
 // accumulators in a fixed order at join points.
@@ -22,27 +22,23 @@
 
 namespace detcol {
 
-/// Round costs of the communication primitives. These are the constants of
-/// the black-box results the paper builds on; they are configurable so that
-/// ablations can study their impact on the constant in Theorem 1.1.
-struct CliqueCosts {
-  std::uint64_t lenzen_route = 2;   // [15]: O(1); 2 in the common statement
-  std::uint64_t broadcast = 2;      // distribute + rebroadcast
-  std::uint64_t aggregate = 2;      // converge-cast a sum/min/max
-};
-
 /// Immutable CONGESTED CLIQUE model: every method is const, validates the
 /// op's precondition against the fixed parameters and charges the contract
 /// cost into `acc`. collect() folds its instance size into
 /// `acc.peak_local_words` (the peak single-machine footprint).
+///
+/// The round cost of each primitive is a constant of the black-box result
+/// the paper builds on (clique_sim.cpp: 2 rounds per Lenzen route, per
+/// broadcast and per aggregation). The two slacks stay parameters, because
+/// ColorReduceConfig sets them and tests shrink them to provoke violations.
 class CliqueModel {
  public:
   /// `n` is the number of nodes of the input graph = number of machines.
   /// `route_slack` is the constant in Lenzen's O(n) send/receive bound;
   /// `collect_slack` the constant in the O(n)-words single-machine space
   /// bound (graph words + deg+1-truncated palettes of a collected instance).
-  explicit CliqueModel(std::uint64_t n, CliqueCosts costs = {},
-                       double route_slack = 16.0, double collect_slack = 16.0);
+  explicit CliqueModel(std::uint64_t n, double route_slack = 16.0,
+                       double collect_slack = 16.0);
 
   std::uint64_t n() const { return n_; }
 
@@ -77,7 +73,6 @@ class CliqueModel {
 
  private:
   std::uint64_t n_;
-  CliqueCosts costs_;
   double route_slack_;
   double collect_slack_;
 };

@@ -20,24 +20,17 @@
 
 namespace detcol {
 
-/// Round costs of the MPC primitives — the constants of the black-box
-/// results the paper builds on, configurable so ablations can study their
-/// impact on the theorem constants.
-struct MpcOpCosts {
-  std::uint64_t sort = 3;        // Lemma 2.1 via [11]
-  std::uint64_t prefix_sum = 2;  // Lemma 2.1
-  std::uint64_t route = 1;       // arbitrary pattern within space bounds
-  std::uint64_t gather = 2;      // collect an instance onto one machine
-};
-
 /// Immutable MPC space model. Every method is const: it validates the op's
 /// space precondition against the fixed parameters and charges the contract
-/// cost (rounds, words, peaks) into `acc`.
+/// cost (rounds, words, peaks) into `acc`. Each primitive's round cost is a
+/// constant of the black-box result the paper builds on (mpc_sim.cpp: sort
+/// 3, prefix sum 2, route 1, gather 2). The two space bounds are what a
+/// caller sets: LowSpace derives them from n and delta, tests pick small
+/// ones to provoke violations.
 class MpcModel {
  public:
   /// `local_space` = s in words; `total_space` = M*s in words.
-  MpcModel(std::uint64_t local_space, std::uint64_t total_space,
-           MpcOpCosts costs = {});
+  MpcModel(std::uint64_t local_space, std::uint64_t total_space);
 
   std::uint64_t local_space() const { return local_space_; }
   std::uint64_t total_space() const { return total_space_; }
@@ -68,7 +61,6 @@ class MpcModel {
  private:
   std::uint64_t local_space_;
   std::uint64_t total_space_;
-  MpcOpCosts costs_;
 };
 
 }  // namespace detcol

@@ -43,33 +43,5 @@ std::span<const Message> Network::inbox(std::uint32_t v) const {
   return inboxes_[v];
 }
 
-void Network::broadcast_one(std::uint32_t root, std::uint64_t value) {
-  for (std::uint32_t v = 0; v < n_; ++v) {
-    if (v != root) send(root, v, value);
-  }
-  deliver();
-}
-
-std::uint64_t Network::all_sum(std::span<const std::uint64_t> values) {
-  DC_CHECK(values.size() == n_, "one value per node required");
-  // Converge-cast to node 0.
-  for (std::uint32_t v = 1; v < n_; ++v) send(v, 0, values[v]);
-  deliver();
-  std::uint64_t sum = values[0];
-  for (const auto& m : inbox(0)) sum += m.payload;
-  broadcast_one(0, sum);
-  return sum;
-}
-
-std::uint64_t Network::all_min(std::span<const std::uint64_t> values) {
-  DC_CHECK(values.size() == n_, "one value per node required");
-  for (std::uint32_t v = 1; v < n_; ++v) send(v, 0, values[v]);
-  deliver();
-  std::uint64_t mn = values[0];
-  for (const auto& m : inbox(0)) mn = std::min(mn, m.payload);
-  broadcast_one(0, mn);
-  return mn;
-}
-
 }  // namespace cc
 }  // namespace detcol

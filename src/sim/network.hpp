@@ -1,11 +1,11 @@
 // Message-level CONGESTED CLIQUE network.
 //
-// Unlike CliqueSim (which charges contract costs for black-box primitives),
-// this is a faithful per-round message simulator: every ordered pair of nodes
-// may carry at most `bandwidth` words per round, violations throw. It exists
-// to demonstrate and test the primitives the costed simulator charges for
-// (broadcast, converge-cast aggregation, direct exchange), and to run the
-// randomized color-trial baseline at true message granularity.
+// Unlike CliqueModel (which charges contract costs for black-box
+// primitives), this is a faithful per-round message simulator: every ordered
+// pair of nodes may carry at most `bandwidth` words per round, violations
+// throw. The distributed seed agreement (derand/distributed_mce.hpp), the
+// two-phase router (sim/routing.hpp) and the message-level ColorReduce round
+// (core/network_color.hpp) run on it.
 #pragma once
 
 #include <cstdint>
@@ -37,18 +37,6 @@ class Network {
 
   /// Messages delivered to `v` in the last completed round.
   std::span<const Message> inbox(std::uint32_t v) const;
-
-  // -- Primitives implemented with real messages (each advances rounds) --
-
-  /// Node `root` sends `value` to everyone: 1 round (n-1 single words).
-  void broadcast_one(std::uint32_t root, std::uint64_t value);
-
-  /// Sum of one value per node, result known to all: 2 rounds
-  /// (converge-cast to node 0, then broadcast).
-  std::uint64_t all_sum(std::span<const std::uint64_t> values);
-
-  /// Minimum with the same pattern: 2 rounds.
-  std::uint64_t all_min(std::span<const std::uint64_t> values);
 
  private:
   std::uint32_t n_;

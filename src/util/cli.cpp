@@ -46,12 +46,6 @@ std::string ArgParser::get_string(const std::string& name,
   return it == flags_.end() ? fallback : it->second;
 }
 
-std::int64_t ArgParser::get_int(const std::string& name,
-                                std::int64_t fallback) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
 std::uint64_t ArgParser::get_uint(const std::string& name,
                                   std::uint64_t fallback) const {
   const auto it = flags_.find(name);

@@ -18,7 +18,6 @@ class ArgParser {
   bool has(const std::string& name) const;
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
-  std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   std::uint64_t get_uint(const std::string& name,
                          std::uint64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;

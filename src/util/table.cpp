@@ -94,23 +94,6 @@ std::string Table::str() const {
   return os.str();
 }
 
-std::string Table::markdown() const {
-  std::ostringstream os;
-  os << '|';
-  for (const auto& h : headers_) os << ' ' << h << " |";
-  os << "\n|";
-  for (std::size_t i = 0; i < headers_.size(); ++i) os << "---|";
-  os << '\n';
-  for (const auto& r : rows_) {
-    os << '|';
-    for (std::size_t i = 0; i < headers_.size(); ++i) {
-      os << ' ' << (i < r.size() ? r[i] : std::string()) << " |";
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
 void Table::print(const std::string& caption) const {
   std::cout << "\n== " << caption << " ==\n" << str() << std::flush;
 }

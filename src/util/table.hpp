@@ -7,9 +7,8 @@
 
 namespace detcol {
 
-/// Accumulates rows of string cells and renders an aligned ASCII table
-/// (optionally GitHub-markdown formatted). Numeric convenience overloads
-/// format with sensible defaults.
+/// Accumulates rows of string cells and renders an aligned ASCII table.
+/// Numeric convenience overloads format with sensible defaults.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);
@@ -27,9 +26,6 @@ class Table {
 
   /// Render to a string (ASCII box style).
   std::string str() const;
-
-  /// Render as GitHub markdown.
-  std::string markdown() const;
 
   /// Print ASCII rendering to stdout with a caption line.
   void print(const std::string& caption) const;

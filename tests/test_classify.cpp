@@ -150,9 +150,9 @@ TEST(Params, NumBinsAndNextEll) {
   PartitionParams params;
   EXPECT_EQ(num_bins(16.0, params), 2u);          // 16^0.1 < 2 -> floor
   EXPECT_EQ(num_bins(1e10, params), 10u);         // (1e10)^0.1 = 10
-  EXPECT_GT(next_ell(1000.0, params), 2.0);
-  EXPECT_LT(next_ell(1000.0, params), 1000.0);
-  EXPECT_DOUBLE_EQ(next_ell(2.0, params), 2.0);   // floor at 2
+  EXPECT_GT(next_ell(1000.0), 2.0);
+  EXPECT_LT(next_ell(1000.0), 1000.0);
+  EXPECT_DOUBLE_EQ(next_ell(2.0), 2.0);   // floor at 2
 }
 
 TEST(Params, TrajectoryBoundFormulas) {

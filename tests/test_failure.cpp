@@ -28,13 +28,13 @@ TEST(Failure, OneDeficientNodeIsEnough) {
 }
 
 TEST(Failure, CollectBeyondCapacityThrows) {
-  const CliqueModel model(100, {}, 2.0, 2.0);
+  const CliqueModel model(100, 2.0, 2.0);
   MpcCosts acc;
   EXPECT_THROW(model.collect(201, "x", acc), CheckError);
 }
 
 TEST(Failure, RouteBeyondLenzenBoundThrows) {
-  const CliqueModel model(100, {}, 1.0);
+  const CliqueModel model(100, 1.0);
   MpcCosts acc;
   EXPECT_THROW(model.lenzen_route(1000, 101, "x", acc), CheckError);
 }
@@ -71,7 +71,7 @@ TEST(Failure, MalformedConfigRejected) {
 
 TEST(Failure, ModelsRejectDegenerateConstruction) {
   EXPECT_THROW(CliqueModel(0), CheckError);
-  EXPECT_THROW(CliqueModel(4, {}, 0.5), CheckError);
+  EXPECT_THROW(CliqueModel(4, 0.5), CheckError);
   EXPECT_THROW(MpcModel(0, 10), CheckError);
   EXPECT_THROW(MpcModel(100, 10), CheckError);
 }

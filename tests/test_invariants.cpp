@@ -21,8 +21,7 @@ TEST(Invariants, CleanReportOnValidRoot) {
   const Graph g = gen_gnp(200, 0.1, 1);
   const Instance inst = make_instance(g, g.max_degree());
   const PaletteSet pal = PaletteSet::delta_plus_one(g);
-  PartitionParams params;
-  const auto rep = check_corollary_33(inst, pal, params);
+  const auto rep = check_corollary_33(inst, pal);
   EXPECT_TRUE(rep.clean());
   EXPECT_EQ(rep.checked, 200u);
 }
@@ -33,8 +32,7 @@ TEST(Invariants, DetectsSmallPalette) {
   const Graph g = gen_complete(8);  // degree 7
   const Instance inst = make_instance(g, 10.0);
   const PaletteSet pal = PaletteSet::uniform(8, 5);
-  PartitionParams params;
-  const auto rep = check_corollary_33(inst, pal, params);
+  const auto rep = check_corollary_33(inst, pal);
   EXPECT_EQ(rep.viol_ell_lt_p, 8u);
   EXPECT_EQ(rep.viol_deg_lt_p, 8u);
   EXPECT_FALSE(rep.clean());
@@ -45,8 +43,7 @@ TEST(Invariants, DetectsDegreeOverflow) {
   const Graph g = gen_complete(8);
   const Instance inst = make_instance(g, 4.0);
   const PaletteSet pal = PaletteSet::uniform(8, 100);
-  PartitionParams params;
-  const auto rep = check_corollary_33(inst, pal, params);
+  const auto rep = check_corollary_33(inst, pal);
   EXPECT_EQ(rep.viol_deg_le_ell, 8u);
 }
 

@@ -348,9 +348,11 @@ TEST(MisGolden, ResultsUnchangedFromPreEngine) {
     EXPECT_EQ(hash_colors(r.color), cs.want_colorhash) << cs.name;
     EXPECT_EQ(r.phases, cs.want_phases) << cs.name;
     EXPECT_EQ(r.seed_evaluations, cs.want_evals) << cs.name;
-    EXPECT_EQ(r.ledger.total_rounds(), cs.want_rounds) << cs.name;
-    EXPECT_EQ(r.ledger.total_words(), cs.want_words) << cs.name;
-    EXPECT_EQ(r.seed_rounds, cs.want_seed_rounds) << cs.name;
+    EXPECT_EQ(r.mpc.ledger.total_rounds(), cs.want_rounds) << cs.name;
+    EXPECT_EQ(r.mpc.ledger.total_words(), cs.want_words) << cs.name;
+    EXPECT_EQ(r.mpc.ledger.by_phase().at("mis-seed").rounds,
+              cs.want_seed_rounds)
+        << cs.name;
   }
 }
 
@@ -458,7 +460,7 @@ TEST(ParallelInvariance, MisBitIdenticalAcrossThreadCounts) {
     pals[v].assign(s.begin(), s.end());
   }
   const auto base = mis_list_color(g, pals, {}, 4);
-  const std::string base_ledger = ledger_to_json(base.ledger);
+  const std::string base_ledger = ledger_to_json(base.mpc.ledger);
   const std::string base_mpc = mpc_costs_to_json(base.mpc);
   for (const unsigned t : kThreadMatrix) {
     ThreadPool pool(t);
@@ -468,7 +470,7 @@ TEST(ParallelInvariance, MisBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(r.color, base.color) << t << " threads";
     EXPECT_EQ(r.phases, base.phases) << t << " threads";
     EXPECT_EQ(r.seed_evaluations, base.seed_evaluations) << t << " threads";
-    EXPECT_EQ(ledger_to_json(r.ledger), base_ledger) << t << " threads";
+    EXPECT_EQ(ledger_to_json(r.mpc.ledger), base_ledger) << t << " threads";
     EXPECT_EQ(mpc_costs_to_json(r.mpc), base_mpc) << t << " threads";
   }
 }
@@ -523,7 +525,7 @@ TEST(ParallelInvariance, MisShardedAtScale) {
       EXPECT_EQ(hash_colors(r.color), cs.want_colorhash) << where;
       EXPECT_EQ(r.phases, cs.want_phases) << where;
       EXPECT_EQ(r.seed_evaluations, cs.want_evals) << where;
-      EXPECT_EQ(ledger_to_json(r.ledger), cs.want_ledger) << where;
+      EXPECT_EQ(ledger_to_json(r.mpc.ledger), cs.want_ledger) << where;
       EXPECT_EQ(mpc_costs_to_json(r.mpc), want_mpc) << where;
     }
   }

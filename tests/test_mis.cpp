@@ -117,10 +117,10 @@ TEST(Mis, LedgerChargesSeedAndPhaseRounds) {
   const Graph g = gen_gnp(100, 0.1, 19);
   const PaletteSet pal = PaletteSet::delta_plus_one(g);
   const auto r = mis_list_color(g, palettes_of(g, pal), {}, 10);
-  EXPECT_GT(r.ledger.total_rounds(), 0u);
-  EXPECT_EQ(r.ledger.by_phase().count("mis-seed"), 1u);
-  EXPECT_EQ(r.ledger.by_phase().count("mis-phase"), 1u);
-  EXPECT_GT(r.seed_rounds, 0u);
+  EXPECT_GT(r.mpc.ledger.total_rounds(), 0u);
+  EXPECT_EQ(r.mpc.ledger.by_phase().count("mis-seed"), 1u);
+  EXPECT_EQ(r.mpc.ledger.by_phase().count("mis-phase"), 1u);
+  EXPECT_GT(r.mpc.ledger.by_phase().at("mis-seed").rounds, 0u);
 }
 
 }  // namespace

@@ -118,7 +118,7 @@ TEST(Partition, EllNextFollowsPaperFormula) {
   const PaletteSet pal = PaletteSet::uniform(200, 1100);
   PartitionParams params;
   const auto pr = partition(inst, pal, 200, params, nullptr, nullptr, 4);
-  EXPECT_DOUBLE_EQ(pr.ell_next, next_ell(ell, params));
+  EXPECT_DOUBLE_EQ(pr.ell_next, next_ell(ell));
 }
 
 TEST(Partition, InvariantPreservedAtRoot) {
@@ -127,8 +127,7 @@ TEST(Partition, InvariantPreservedAtRoot) {
   const Graph g = gen_power_law(1000, 2.7, 10.0, 19);
   const Instance inst = make_instance(g, g.max_degree());
   const PaletteSet pal = PaletteSet::delta_plus_one(g);
-  PartitionParams params;
-  const auto rep = check_corollary_33(inst, pal, params);
+  const auto rep = check_corollary_33(inst, pal);
   EXPECT_TRUE(rep.clean()) << rep.to_string();
 }
 
@@ -141,7 +140,7 @@ TEST(Partition, Lemma32CheckerOnChosenSeed) {
   const PaletteSet pal = PaletteSet::delta_plus_one(g);
   PartitionParams params;
   const auto pr = partition(inst, pal, 500, params, nullptr, nullptr, 6);
-  const auto rep = check_lemma_32(inst, pr.cls, params);
+  const auto rep = check_lemma_32(inst, pr.cls);
   EXPECT_GT(rep.checked, 0u);
   EXPECT_EQ(rep.viol_deg_lt_p, 0u) << rep.to_string();
 }

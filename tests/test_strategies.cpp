@@ -130,7 +130,6 @@ TEST(Schedule, RoundsChargedMatchChunkCount) {
   SeedSelectConfig cfg;
   cfg.strategy = SeedStrategy::kThresholdScan;
   cfg.chunk_bits = 8;
-  cfg.aggregation_rounds = 2;
   const auto cost = [](const SeedBits&) { return 0.0; };
   const auto r = select_seed(256, cost, 1.0, cfg, 0);
   // ceil(256/8)=32 chunks * 2 rounds + 1 broadcast.

@@ -30,26 +30,10 @@ TEST(Math, CeilDiv) {
   EXPECT_EQ(ceil_div(7, 1), 7u);
 }
 
-TEST(Math, Log2Family) {
-  EXPECT_EQ(floor_log2(1), 0u);
-  EXPECT_EQ(floor_log2(2), 1u);
-  EXPECT_EQ(floor_log2(3), 1u);
-  EXPECT_EQ(floor_log2(1024), 10u);
-  EXPECT_EQ(ceil_log2(1), 0u);
-  EXPECT_EQ(ceil_log2(2), 1u);
-  EXPECT_EQ(ceil_log2(3), 2u);
-  EXPECT_EQ(ceil_log2(1025), 11u);
-  EXPECT_TRUE(is_pow2(64));
-  EXPECT_FALSE(is_pow2(63));
-  EXPECT_EQ(next_pow2(63), 64u);
-  EXPECT_EQ(next_pow2(64), 64u);
-}
-
 TEST(Math, FractionalPowers) {
   EXPECT_DOUBLE_EQ(fpow(100.0, 0.5), 10.0);
   EXPECT_EQ(ipow_floor(100.0, 0.5), 10u);
   EXPECT_EQ(ipow_floor(2.0, 0.1, 2), 2u);  // lower clamp
-  EXPECT_EQ(ipow(3, 4), 81u);
   EXPECT_THROW(fpow(-1.0, 0.5), CheckError);
 }
 
@@ -89,8 +73,6 @@ TEST(Table, RendersAlignedCells) {
   EXPECT_NE(s.find("| a "), std::string::npos);
   EXPECT_NE(s.find("22"), std::string::npos);
   EXPECT_EQ(t.num_rows(), 2u);
-  const std::string md = t.markdown();
-  EXPECT_NE(md.find("| a |"), std::string::npos);
 }
 
 TEST(Table, TooManyCellsThrows) {
@@ -112,7 +94,6 @@ TEST(Cli, ParsesFlagsAndPositional) {
   EXPECT_EQ(args.get_string("name", ""), "abc");
   EXPECT_TRUE(args.get_bool("verbose", false));
   EXPECT_FALSE(args.get_bool("quiet", false));
-  EXPECT_EQ(args.get_int("missing", -3), -3);
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "pos");
   const auto list = args.get_uint_list("list", {});
