@@ -79,7 +79,6 @@ PipelineRun run_pipeline(const std::string& algo, const Graph& g,
   } else if (algo == "mis") {
     MisParams params;
     params.exec = exec;
-    params.tables = tables;
     MisBaselineResult r = mis_baseline_color(g, palettes, params);
     out.rounds = r.rounds;
     out.mpc_json = mpc_costs_to_json(r.mpc);

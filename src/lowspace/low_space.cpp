@@ -104,10 +104,8 @@ class LsDriver {
         salt_(salt),
         result_(g.num_nodes()),
         mpc_model_(local_space(), total_space()) {
-    // The MIS sub-searches shard over the driver's pool and share the
-    // driver's power-table source.
+    // The MIS sub-searches shard over the driver's pool.
     p_.mis.exec = p_.exec;
-    p_.mis.tables = p_.tables;
   }
 
   LowSpaceResult run() {

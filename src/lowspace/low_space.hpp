@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "derand/strategies.hpp"
 #include "exec/exec.hpp"
 #include "graph/coloring.hpp"
 #include "graph/graph.hpp"
@@ -23,6 +24,8 @@
 #include "sim/mpc_sim.hpp"
 
 namespace detcol {
+
+class PowerTableProvider;  // hashing/batch_eval.hpp
 
 /// What a caller can set. The model's local space
 /// s = max(2^14, 8 * n^{22*delta}) words (the paper sets delta = eps/22,
@@ -48,9 +51,10 @@ struct LowSpaceParams {
   /// shards over it. Results are bit-identical for any thread count.
   ExecContext exec;
 
-  /// Optional shared power-table source (hashing/batch_eval.hpp), forwarded
-  /// to every seed engine of the run (`mis.tables` is overridden with this
-  /// value, like `mis.exec`). Null = private tables; never changes results.
+  /// Optional shared power-table source (hashing/batch_eval.hpp) for the
+  /// partition seed engine of every recursion level. The MIS phases need
+  /// none: their priorities are Horner steps from the seed's coefficients.
+  /// Null = private tables; never changes results.
   PowerTableProvider* tables = nullptr;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "derand/strategies.hpp"
 #include "hashing/kwise.hpp"
 #include "lowspace/seed_engine.hpp"
 #include "util/check.hpp"
@@ -39,6 +40,12 @@ constexpr unsigned kMaxPhases = 256;
 /// (priority exchange + join resolution + cleanup).
 constexpr std::uint64_t kRoundsPerPhase = 4;
 
+/// Phase seeds: the engine's 4 coefficient words, found by the default
+/// search (a threshold scan of up to 64 candidates).
+constexpr unsigned kSeedBits =
+    KWiseHash::seed_bits(MisPhaseEngine::kIndependence);
+constexpr SeedSelectConfig kSeedSearch{};
+
 /// Priority of vertex x under the loaded phase seed: field value with id
 /// tiebreak.
 inline std::pair<std::uint64_t, std::uint64_t> priority(
@@ -47,16 +54,16 @@ inline std::pair<std::uint64_t, std::uint64_t> priority(
 }
 
 /// Simulate one Luby phase under the engine's loaded seed without mutating
-/// the state: three sharded per-node passes over the engine's ExecContext
-/// (joins, then removal marks, then the removed-edge count), each reading
-/// only what the previous one finished writing. Every mark has one writer
-/// and the counts are shard-ordered integer sums, so the outcome is
-/// bit-identical for every thread count.
+/// the state: three sharded per-node passes over `exec` (joins, then removal
+/// marks, then the removed-edge count), each reading only what the previous
+/// one finished writing. Every mark has one writer and the counts are
+/// shard-ordered integer sums, so the outcome is bit-identical for every
+/// thread count.
 void simulate_phase(const MisState& st, const MisPhaseEngine& eng,
-                    PhaseSim& sim) {
+                    ExecContext exec, PhaseSim& sim) {
   const ReductionGraph& r = *st.r;
   sim.num_joined = parallel_reduce_shards(
-      eng.exec(), r.num_nodes(), std::uint64_t{0},
+      exec, r.num_nodes(), std::uint64_t{0},
       [&](std::size_t, std::size_t begin, std::size_t end) {
         std::uint64_t joins = 0;
         for (std::size_t v = begin; v < end; ++v) {
@@ -97,9 +104,8 @@ void simulate_phase(const MisState& st, const MisPhaseEngine& eng,
 
   // Removal marks, pulled per vertex: an active vertex leaves iff its node
   // joins or one of its active conflict neighbors joins.
-  parallel_for_shards(eng.exec(), r.num_nodes(), [&](std::size_t,
-                                                     std::size_t begin,
-                                                     std::size_t end) {
+  parallel_for_shards(exec, r.num_nodes(), [&](std::size_t, std::size_t begin,
+                                               std::size_t end) {
     for (std::size_t v = begin; v < end; ++v) {
       if (st.color[v] != Coloring::kUncolored) continue;
       const std::uint64_t lo = r.base[v];
@@ -123,7 +129,7 @@ void simulate_phase(const MisState& st, const MisPhaseEngine& eng,
   // Count conflict edges losing at least one endpoint (pure reads of the
   // finished removal marks).
   sim.removed_edges = parallel_reduce_shards(
-      eng.exec(), r.num_nodes(), std::uint64_t{0},
+      exec, r.num_nodes(), std::uint64_t{0},
       [&](std::size_t, std::size_t begin, std::size_t end) {
         std::uint64_t cnt = 0;
         for (std::size_t v = begin; v < end; ++v) {
@@ -186,9 +192,7 @@ MisColorResult solve(const Graph& g, const ReductionGraph& r,
                std::vector<char>(r.num_vertices)};
 
   MisColorResult result;
-  const unsigned c = params.independence;
-  const unsigned bits = KWiseHash::seed_bits(c);
-  MisPhaseEngine engine(r.num_vertices, c, params.exec, params.tables);
+  MisPhaseEngine engine;
 
   while (st.uncolored > 0) {
     params.exec.check_deadline("mis");
@@ -208,7 +212,7 @@ MisColorResult solve(const Graph& g, const ReductionGraph& r,
     bool sim_valid = false;
     const auto simulate = [&]() -> const PhaseSim& {
       if (!sim_valid) {
-        simulate_phase(st, engine, sim);
+        simulate_phase(st, engine, params.exec, sim);
         sim_valid = true;
       }
       return sim;
@@ -222,7 +226,7 @@ MisColorResult solve(const Graph& g, const ReductionGraph& r,
              (out.num_joined == 0 ? 0.0 : 0.5);
     };
     const SeedSelectResult sel =
-        select_seed(bits, cost, target, params.seed,
+        select_seed(kSeedBits, cost, target, kSeedSearch,
                     sub_seed(salt, result.phases));
     result.seed_evaluations += sel.evaluations;
     result.mpc.ledger.charge("mis-seed", sel.rounds_charged,

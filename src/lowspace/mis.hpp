@@ -15,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "derand/strategies.hpp"
 #include "exec/exec.hpp"
 #include "graph/coloring.hpp"
 #include "graph/palette.hpp"
@@ -25,25 +24,19 @@
 
 namespace detcol {
 
-class PowerTableProvider;  // hashing/batch_eval.hpp
-
-/// What a caller can set. The phase cap (256; the theory gives O(log m))
-/// and the 4 model rounds each phase charges on top of its seed schedule
-/// are constants (mis.cpp). A test sets removal_fraction; the CLI and the
-/// tests set exec and tables, and LowSpace overrides both with its own.
+/// What a caller can set. The priorities' independence
+/// (MisPhaseEngine::kIndependence = 4), the phase-seed search (the default
+/// SeedSelectConfig), the phase cap (256; the theory gives O(log m)) and the
+/// 4 model rounds each phase charges on top of its seed schedule are
+/// constants (mis.cpp). A test sets removal_fraction; the CLI and the tests
+/// set exec, and LowSpace overrides it with its own.
 struct MisParams {
-  unsigned independence = 4;
   /// Accept a phase seed that removes at least remaining/removal_fraction
   /// conflict edges (16 mirrors Luby's m/8 expectation with slack 2).
   std::uint64_t removal_fraction = 16;
-  SeedSelectConfig seed;
   /// Host execution context: the phase-seed search shards its simulation
   /// passes over this pool (results are bit-identical for any thread count).
   ExecContext exec;
-
-  /// Optional shared power-table source (hashing/batch_eval.hpp); null =
-  /// build private tables. Must be thread-safe; never changes results.
-  PowerTableProvider* tables = nullptr;
 };
 
 struct MisColorResult {

@@ -2,20 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/check.hpp"
 
 namespace detcol {
-namespace {
-
-std::vector<std::uint64_t> iota_points(std::uint64_t count) {
-  std::vector<std::uint64_t> points(count);
-  std::iota(points.begin(), points.end(), std::uint64_t{0});
-  return points;
-}
-
-}  // namespace
 
 LowSpaceSeedEngine::LowSpaceSeedEngine(const Graph& g,
                                        std::span<const NodeId> orig,
@@ -153,17 +143,15 @@ std::uint64_t lowspace_naive_violations(
   return bad;
 }
 
-MisPhaseEngine::MisPhaseEngine(std::uint64_t num_vertices,
-                               unsigned independence, ExecContext exec,
-                               PowerTableProvider* tables)
-    : c_(independence),
-      eval_(acquire_power_table(tables, iota_points(num_vertices),
-                                independence, exec),
-            /*range=*/1),
-      exec_(exec) {}
-
 bool MisPhaseEngine::load(const SeedBits& seed) {
-  return eval_.load(seed.word_range(0, c_), exec_);
+  const auto words = seed.word_range(0, kIndependence);
+  bool moved = false;
+  for (unsigned j = 0; j < kIndependence; ++j) {
+    const std::uint64_t a = m61_reduce(words[j]);
+    moved = moved || a != coeffs_[j];
+    coeffs_[j] = a;
+  }
+  return moved;
 }
 
 }  // namespace detcol

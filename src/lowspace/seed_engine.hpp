@@ -12,12 +12,12 @@
 //    and re-evaluate the priority polynomial at every reduction vertex on
 //    every access of the phase simulation.
 //
-// LowSpaceSeedEngine and MisPhaseEngine amortize everything that does not
-// depend on the seed, exactly in the style of core/seed_eval.hpp:
+// LowSpaceSeedEngine amortizes everything that does not depend on the seed,
+// exactly in the style of core/seed_eval.hpp:
 //
-//  * power tables (BatchKWiseEval) over the node ids / distinct palette
-//    colors / reduction-vertex ids, built once per search — a candidate
-//    costs one multiply-add per point per *changed* seed word;
+//  * power tables (BatchKWiseEval) over the node ids and the distinct
+//    palette colors, built once per search — a candidate costs one
+//    multiply-add per point per *changed* seed word;
 //  * distinct-color memoization — h2 is evaluated once per distinct color in
 //    the union of palettes; nodes whose palette is the full color universe
 //    read their p'(v) from a per-bin color count in O(1). The index behind
@@ -29,13 +29,19 @@
 //  * scratch reuse — bins, d'/verdict buffers and color-bin counts live in
 //    the engine and are reused across evaluations.
 //
-// Every per-node pass shards over the engine's ExecContext with static shard
+// MisPhaseEngine holds only the loaded seed's coefficients: a phase search
+// evaluates a handful of seeds over millions of reduction vertices, so a
+// per-vertex power table would cost more than it saves. A priority is a
+// fixed-degree Horner step, evaluated where a simulation shard needs it.
+//
+// Every per-node pass shards over an ExecContext with static shard
 // boundaries (exec/exec.hpp), so violation counts, verdicts and priorities
 // are bit-identical for any thread count. violations() equals the naive
 // per-candidate recomputation bit for bit; tests/test_lowspace_engine.cpp
 // asserts this and that select_seed picks identical seeds on either backend.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -45,6 +51,7 @@
 #include "graph/graph.hpp"
 #include "graph/palette.hpp"
 #include "hashing/batch_eval.hpp"
+#include "hashing/field.hpp"
 #include "hashing/kwise.hpp"
 
 namespace detcol {
@@ -129,32 +136,35 @@ std::uint64_t lowspace_naive_violations(
     const KWiseHash& h2, std::vector<std::uint32_t>* bins_out = nullptr,
     std::vector<char>* good_out = nullptr);
 
-/// Batched c-wise independent priorities for the derandomized-Luby phase
-/// seeds: the priority polynomial evaluated at every reduction vertex, kept
-/// current under word-diff loads. priority() is bit-identical to
-/// KWiseHash::field_eval on the same seed words.
+/// 4-wise independent priorities for the derandomized-Luby phase seeds.
+/// priority() is bit-identical to KWiseHash::field_eval on the same seed
+/// words.
 class MisPhaseEngine {
  public:
-  MisPhaseEngine(std::uint64_t num_vertices, unsigned independence,
-                 ExecContext exec = {}, PowerTableProvider* tables = nullptr);
+  /// Independence of the priority family: Luby's analysis needs only
+  /// pairwise independence, and 4 matches the partition hashes.
+  static constexpr unsigned kIndependence = 4;
 
-  /// Load the candidate's coefficient words (layout: `independence` words
-  /// from bit 0). Returns true when any priority moved — false means every
-  /// vertex keeps its exact previous priority, so callers can reuse a phase
+  /// Load the candidate's coefficient words (layout: kIndependence words
+  /// from bit 0). The initial state is the zero polynomial. Returns true
+  /// when a coefficient's residue mod p moved — false means every vertex
+  /// keeps its exact previous priority, so callers can reuse a phase
   /// simulation computed under the previous load.
   bool load(const SeedBits& seed);
 
-  /// Field-value priority of reduction vertex x under the loaded seed.
+  /// Field-value priority of reduction vertex x under the loaded seed:
+  /// Horner from the highest coefficient, as KWiseHash::field_eval runs it.
   std::uint64_t priority(std::uint64_t x) const {
-    return eval_.field_value(x);
+    const std::uint64_t xr = m61_reduce(x);
+    std::uint64_t acc = coeffs_[kIndependence - 1];
+    for (unsigned j = kIndependence - 1; j-- > 0;) {
+      acc = m61_add(m61_mul(acc, xr), coeffs_[j]);
+    }
+    return acc;
   }
 
-  ExecContext exec() const { return exec_; }
-
  private:
-  unsigned c_;
-  BatchKWiseEval eval_;
-  ExecContext exec_;
+  std::array<std::uint64_t, kIndependence> coeffs_{};  // a_j, reduced mod p
 };
 
 }  // namespace detcol

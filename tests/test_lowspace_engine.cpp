@@ -28,6 +28,7 @@
 #include "derand/strategies.hpp"
 #include "exec/exec.hpp"
 #include "graph/generators.hpp"
+#include "hashing/field.hpp"
 #include "hashing/kwise.hpp"
 #include "lowspace/low_space.hpp"
 #include "lowspace/mis.hpp"
@@ -162,17 +163,49 @@ TEST(LowSpaceSeedEngine, MceCandidateStreamStaysExact) {
 }
 
 TEST(MisPhaseEngine, PrioritiesMatchKWiseFieldEval) {
-  const unsigned c = 4;
+  const unsigned c = MisPhaseEngine::kIndependence;
   const unsigned bits = KWiseHash::seed_bits(c);
-  MisPhaseEngine engine(257, c);
+  // Vertex ids 0..256 plus ids at and beyond p, which field_eval reduces.
+  std::vector<std::uint64_t> xs(257);
+  std::iota(xs.begin(), xs.end(), std::uint64_t{0});
+  for (const std::uint64_t x : {kMersenne61, kMersenne61 + 1,
+                                std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+    xs.push_back(x);
+  }
+  MisPhaseEngine engine;
+  const auto expect_field_eval = [&](const SeedBits& s, const char* what) {
+    const KWiseHash naive(s.word_range(0, c), 1);
+    for (const std::uint64_t x : xs) {
+      ASSERT_EQ(engine.priority(x), naive.field_eval(x)) << what << " x=" << x;
+    }
+  };
   for (unsigned i = 0; i < 12; ++i) {
     const SeedBits s = SeedBits::expand(bits, 0x415, i);
-    engine.load(s);
-    const KWiseHash naive(s.word_range(0, c), 1);
-    for (std::uint64_t x = 0; x < 257; ++x) {
-      ASSERT_EQ(engine.priority(x), naive.field_eval(x)) << "seed " << i;
-    }
+    EXPECT_TRUE(engine.load(s)) << "seed " << i;
+    expect_field_eval(s, "expanded seed");
+    // The phase loop's simulation cache relies on a reload reporting that
+    // nothing moved.
+    EXPECT_FALSE(engine.load(s)) << "seed " << i;
   }
+
+  // A word replaced by a different word with the same residue (w -> w + p)
+  // is no change: load() says so and no priority moves.
+  SeedBits s = SeedBits::expand(bits, 0x415, 12);
+  s.set_bits(2 * 64, 64, 12345);
+  ASSERT_TRUE(engine.load(s));
+  std::vector<std::uint64_t> before;
+  for (const std::uint64_t x : xs) before.push_back(engine.priority(x));
+  s.set_bits(2 * 64, 64, 12345 + kMersenne61);
+  EXPECT_FALSE(engine.load(s));
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    ASSERT_EQ(engine.priority(xs[i]), before[i]) << "x=" << xs[i];
+  }
+  expect_field_eval(s, "same residue");
+
+  // A changed residue moves.
+  s.set_bits(2 * 64, 64, 12346);
+  EXPECT_TRUE(engine.load(s));
+  expect_field_eval(s, "changed residue");
 }
 
 // --- Layer 2: select_seed backend equivalence + golden seeds -------------

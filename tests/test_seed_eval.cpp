@@ -12,10 +12,11 @@
 //     hashes and round counts).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
 #include <limits>
 #include <numeric>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/color_reduce.hpp"
@@ -515,9 +516,22 @@ TEST(ParallelInvariance, ColorReduceShardedPassesAtScale) {
   }
 }
 
-TEST(ParallelInvariance, SelectSeedTrajectoryIdenticalAcrossThreadCounts) {
-  // The sampled-MCE golden fingerprint of PR 2, reproduced with the engine
-  // sharding its evaluations over every thread count, trajectory included.
+std::uint64_t trajectory_hash(const std::vector<double>& trajectory) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double v : trajectory) {
+    h = fnv(h, std::bit_cast<std::uint64_t>(v));
+  }
+  return h;
+}
+
+// The pre-engine sampled-MCE golden seed, cost and evaluation count, plus a
+// pinned fingerprint of the search trajectory, reproduced with the engine
+// sharding its evaluations over each thread count. One ctest case per
+// thread count: n = 1024 fits in one shard, so each search runs
+// sequentially and `ctest -j` runs the four side by side.
+class SelectSeedTrajectory : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(SelectSeedTrajectory, IdenticalAcrossThreadCounts) {
   const Graph g = gen_random_regular(1024, 32, 7);
   const Instance inst = root_instance(g);
   const PaletteSet pal = PaletteSet::delta_plus_one(g);
@@ -527,24 +541,22 @@ TEST(ParallelInvariance, SelectSeedTrajectoryIdenticalAcrossThreadCounts) {
       params.g0_budget * static_cast<double>(g.num_nodes());
   SeedSelectConfig cfg;
   cfg.strategy = SeedStrategy::kMceSampled;
-  std::optional<std::vector<double>> base_trajectory;
-  for (const unsigned t : kThreadMatrix) {
-    ThreadPool pool(t);
-    SeedEvalEngine engine(inst, pal, g.num_nodes(), params,
-                          ExecContext(pool));
-    const auto sel = select_seed(
-        bits, [&engine](const SeedBits& s) { return engine.cost_size(s); },
-        threshold, cfg, 0xBEEF);
-    EXPECT_EQ(seed_hash(sel.seed), 10795400587065833925ULL) << t;
-    EXPECT_EQ(sel.cost, 33.0) << t;
-    EXPECT_EQ(sel.evaluations, 64769u) << t;
-    if (!base_trajectory) {
-      base_trajectory = sel.trajectory;
-    } else {
-      EXPECT_EQ(sel.trajectory, *base_trajectory) << t << " threads";
-    }
-  }
+  ThreadPool pool(GetParam());
+  SeedEvalEngine engine(inst, pal, g.num_nodes(), params, ExecContext(pool));
+  const auto sel = select_seed(
+      bits, [&engine](const SeedBits& s) { return engine.cost_size(s); },
+      threshold, cfg, 0xBEEF);
+  EXPECT_EQ(seed_hash(sel.seed), 10795400587065833925ULL);
+  EXPECT_EQ(sel.cost, 33.0);
+  EXPECT_EQ(sel.evaluations, 64769u);
+  EXPECT_EQ(trajectory_hash(sel.trajectory), 7711995698240882725ULL);
 }
+
+INSTANTIATE_TEST_SUITE_P(ParallelInvariance, SelectSeedTrajectory,
+                         ::testing::ValuesIn(kThreadMatrix),
+                         [](const ::testing::TestParamInfo<unsigned>& info) {
+                           return std::to_string(info.param);
+                         });
 
 TEST(ParallelInvariance, MirrorImplicitStoreDeterministicUnderThreads) {
   // Internal hash-registration order may vary with the schedule; every

@@ -379,6 +379,29 @@ TEST(ServeDeterminism, SharedPowerTablesMatchPrivateOnes) {
   EXPECT_GT(c.misses + c.hits, 0u);
 }
 
+TEST(ServeDeterminism, MisRequestsAcquireNoPowerTable) {
+  // MIS priorities are Horner steps from the phase seed's coefficients, so
+  // a served MIS request neither builds nor looks up a table over the
+  // reduction's vertices.
+  const cli::GraphSource src = cli::build_graph(
+      cli::parse_spec("--gen=gnp --n=300 --p=0.05 --seed=3"),
+      /*allow_algo_seed=*/false);
+  const cli::PaletteSource pal =
+      cli::build_palettes(cli::parse_spec(""), src.graph);
+  InstanceStore store(2);
+  const auto inst = store.acquire("--gen=gnp --n=300 --p=0.05 --seed=3", {});
+  const cli::PipelineRun private_run = cli::run_pipeline(
+      "mis", src.graph, pal.palettes, {}, 1, /*want_stats=*/false, nullptr);
+  const cli::PipelineRun shared_run = cli::run_pipeline(
+      "mis", src.graph, pal.palettes, {}, 1, /*want_stats=*/false,
+      &inst.instance->tables());
+  EXPECT_EQ(private_run.coloring.color, shared_run.coloring.color);
+  const auto c = inst.instance->tables().counters();
+  EXPECT_EQ(c.hits, 0u);
+  EXPECT_EQ(c.misses, 0u);
+  EXPECT_EQ(c.resident_tables, 0u);
+}
+
 TEST(ServeDeterminism, RepeatRunsThroughTheStoreHitTables) {
   const cli::GraphSource src = cli::build_graph(
       cli::parse_spec("--gen=gnp --n=300 --p=0.05 --seed=3"),
