@@ -162,8 +162,6 @@ int main(int argc, char** argv) {
       w.key("num_bins").value(be);
       w.key("independence").value(ce);
       w.key("seed_bits").value(bits_e);
-      w.key("distinct_colors").value(
-          std::uint64_t{engine.num_distinct_colors()});
       w.key("chunk_bits").value(stream_cfg.chunk_bits);
       w.key("mce_samples").value(stream_cfg.mce_samples);
       w.key("evals").value(rn.evals);
@@ -257,8 +255,6 @@ int main(int argc, char** argv) {
       w.key("num_bins").value(bl);
       w.key("independence").value(cl);
       w.key("seed_bits").value(bits_l);
-      w.key("distinct_colors").value(
-          std::uint64_t{lengine.num_distinct_colors()});
       w.key("chunk_bits").value(stream_cfg.chunk_bits);
       w.key("mce_samples").value(stream_cfg.mce_samples);
       w.key("evals").value(rn.evals);

@@ -288,10 +288,12 @@ class Driver {
     // lookup in the bins the seed engine computed per distinct color. This
     // happens *before* the sibling group is spawned: it is what makes the
     // group's palettes pairwise disjoint, and with them every cross-branch
-    // interaction harmless (class comment). The hash and its restrictions
-    // register into this branch's batch — ancestors land before descendants
-    // when the batch finally applies.
-    {
+    // interaction harmless (class comment). At b = 2 there is no group: h2
+    // has range 1, the one color bin keeps every color and recurses inline.
+    // The hash and its restrictions register into this branch's batch
+    // either way — ancestors land before descendants when the batch finally
+    // applies.
+    if (b > 2) {
       const PaletteIndex index = std::move(pr.palettes);
       for (std::uint64_t i = 0; i + 1 < b; ++i) {
         pal_.restrict_to_bin(bin_local[i], inst.orig, index, pr.color_bin,

@@ -61,7 +61,8 @@ PartitionResult partition(const Instance& inst, const PaletteSet& palettes,
   }
 
   // h2's bins were computed per distinct color by the last evaluate(); the
-  // driver restricts palettes by looking them up.
+  // driver restricts palettes by looking them up (b > 2; both are empty at
+  // b = 2).
   auto [index, color_bin] = std::move(engine).release_color_bins();
   return PartitionResult{b,
                          std::move(cls),

@@ -3,7 +3,7 @@
 // partition() selects hash functions h1 (nodes -> b bins) and h2 (colors ->
 // b-1 bins) deterministically, so that there are no bad bins and the bad-node
 // subgraph G0 is O(n) words (Corollary 3.10). It returns the node assignment
-// plus the chosen h2 and its bin for every palette color, which the
+// plus the chosen h2 and (b > 2) its bin for every palette color, which the
 // ColorReduce driver uses to restrict palettes of the color bins.
 #pragma once
 
@@ -29,7 +29,8 @@ struct PartitionResult {
   double ell_next = 0.0;       // ell' for the recursive calls
   // The palette restriction's inputs, from the seed engine: the instance's
   // palettes over their color universe, and per universe color its bin
-  // h2(c)+1 (see PaletteSet::restrict_to_bin).
+  // h2(c)+1 (see PaletteSet::restrict_to_bin). Both are empty at b = 2,
+  // where the one color bin keeps every color and nothing is restricted.
   PaletteIndex palettes;
   std::vector<std::uint32_t> color_bin;
 };

@@ -22,16 +22,19 @@ SeedEvalEngine::SeedEvalEngine(const Instance& inst, const PaletteSet& palettes,
       b_(::detcol::num_bins(inst.ell, params)),  // the free function, not
                                                  // the member accessor
       c_(params.independence),
-      index_(inst.orig, palettes, exec),
       h1_(acquire_power_table(
               params.tables,
               std::vector<std::uint64_t>(inst.orig.begin(), inst.orig.end()),
-              c_),
-          b_),
-      h2_(acquire_power_table(params.tables, index_.colors(), c_), b_ - 1) {
+              c_, exec),
+          b_) {
   DC_CHECK(b_ >= 2, "partition needs at least 2 bins");
-  cbin_.assign(index_.num_colors(), 0);
-  colors_in_bin_.assign(b_ - 1, 0);
+  if (b_ > 2) {  // several color bins (b = 2: no h2 state, header comment)
+    index_ = PaletteIndex(inst.orig, palettes, exec);
+    h2_.emplace(acquire_power_table(params.tables, index_.colors(), c_, exec),
+                b_ - 1);
+    cbin_.assign(index_.num_colors(), 0);
+    colors_in_bin_.assign(b_ - 1, 0);
+  }
 }
 
 const Classification& SeedEvalEngine::evaluate(const SeedBits& seed) {
@@ -39,9 +42,10 @@ const Classification& SeedEvalEngine::evaluate(const SeedBits& seed) {
   // prefix-aware: when the MCE walk is fixing bits of one hash, the other
   // hash's words are untouched and everything derived from it is reused —
   // for chunks inside the h2 half of the seed that skips the d'(v) pass,
-  // the most expensive part of a classification.
+  // the most expensive part of a classification. At b = 2 the
+  // classification does not depend on h2's words at all.
   const bool h1_changed = h1_.load(seed.word_range(0, c_), exec_);
-  const bool h2_changed = h2_.load(seed.word_range(c_, c_), exec_);
+  const bool h2_changed = h2_ && h2_->load(seed.word_range(c_, c_), exec_);
   if (primed_ && !h1_changed && !h2_changed) return scratch_.cls;
 
   const NodeId n = inst_.n();
@@ -55,11 +59,11 @@ const Classification& SeedEvalEngine::evaluate(const SeedBits& seed) {
                                      out.deg_in_bin, exec_);
   }
 
-  if (h2_changed || !primed_) {
+  if (h2_ && (h2_changed || !primed_)) {
     // h2 once per distinct color (range mapping shards over exec_), plus
     // per-bin color counts for the full-palette fast path (serial: one add
     // per distinct color).
-    h2_.bins_into(cbin_, /*offset=*/1, exec_);  // 1..b-1
+    h2_->bins_into(cbin_, /*offset=*/1, exec_);  // 1..b-1
     colors_in_bin_.assign(b_ - 1, 0);
     for (std::size_t k = 0; k < cbin_.size(); ++k) {
       ++colors_in_bin_[cbin_[k] - 1];
@@ -77,6 +81,10 @@ const Classification& SeedEvalEngine::evaluate(const SeedBits& seed) {
       const std::uint32_t bin = scratch_.raw_bin[v];
       if (bin == b_) {
         out.pal_in_bin[v] = 0;  // last bin receives no colors
+        continue;
+      }
+      if (!h2_) {  // the one color bin keeps every color
+        out.pal_in_bin[v] = pal_.palette_size(inst_.orig[v]);
         continue;
       }
       if (index_.full(v)) {

@@ -8,8 +8,9 @@
 // on the seed:
 //
 //  * power tables  — x^j mod 2^61-1 for every node id and every *distinct*
-//    palette color, built once (BatchKWiseEval); a candidate whose seed
-//    shares a prefix with the previous one (the method of conditional
+//    palette color, built once (BatchKWiseEval) and, without a
+//    PowerTableProvider, sharded over the engine's exec; a candidate whose
+//    seed shares a prefix with the previous one (the method of conditional
 //    expectations changes one chunk at a time) costs one multiply-add per
 //    point per changed coefficient;
 //  * distinct-color memoization — h2 is evaluated once per distinct color in
@@ -19,6 +20,10 @@
 //    universe and every partial palette's universe slots come from a
 //    PaletteIndex (graph/palette.hpp), built in O(Σ|palette| + D log D) for
 //    D distinct colors with both passes sharded over the engine's exec;
+//  * one color bin — at b = 2, h2 has range 1 and sends every color to bin
+//    1, so p'(v) is |P(v)| for a bin-1 node and 0 for a last-bin node. The
+//    engine then builds neither the index nor h2's power table, and a
+//    candidate that moves only h2's words keeps the memoized classification;
 //  * scratch reuse — all classification buffers live in a ClassifyScratch
 //    owned by the engine and reused across evaluations.
 //
@@ -30,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -44,9 +50,10 @@ namespace detcol {
 
 class SeedEvalEngine {
  public:
-  /// Precomputes power tables and the distinct-color index for `inst` /
-  /// `palettes`. Both must outlive the engine and stay unmodified while it
-  /// is in use (partition() holds palettes fixed for the whole seed search).
+  /// Precomputes power tables and (b > 2) the distinct-color index for
+  /// `inst` / `palettes`. Both must outlive the engine and stay unmodified
+  /// while it is in use (partition() holds palettes fixed for the whole seed
+  /// search).
   /// Every per-node pass of evaluate() shards over `exec` with static shard
   /// boundaries; outputs are bit-identical for any thread count (see
   /// exec/exec.hpp for the contract).
@@ -64,11 +71,11 @@ class SeedEvalEngine {
   double cost_size(const SeedBits& seed) { return evaluate(seed).cost_size; }
 
   std::uint64_t num_bins() const { return b_; }
-  std::size_t num_distinct_colors() const { return index_.num_colors(); }
 
   /// Moves out the palette index and, per index color, its h2 bin (1..b-1)
   /// under the last evaluated seed — what the driver restricts the color
-  /// bins' palettes with (PaletteSet::restrict_to_bin). Consumes the engine.
+  /// bins' palettes with (PaletteSet::restrict_to_bin). Both are empty at
+  /// b = 2, where the one color bin keeps every color. Consumes the engine.
   std::pair<PaletteIndex, std::vector<std::uint32_t>> release_color_bins() && {
     return {std::move(index_), std::move(cbin_)};
   }
@@ -81,15 +88,16 @@ class SeedEvalEngine {
   std::uint64_t b_;
   unsigned c_;
 
-  // Per node: full-universe flag (then p' comes from the per-bin count) or
-  // its colors as slots of the universe. Built first: h2_'s power table is
+  BatchKWiseEval h1_;  // points: original node ids, range b
+
+  // b > 2 only (file comment): per node, full-universe flag (then p' comes
+  // from the per-bin count) or its colors as slots of the universe, and h2
   // over the universe colors.
   PaletteIndex index_;
-  BatchKWiseEval h1_;  // points: original node ids, range b
-  BatchKWiseEval h2_;  // points: distinct colors, range b-1
+  std::optional<BatchKWiseEval> h2_;  // points: distinct colors, range b-1
 
   // Per-evaluation scratch. raw_bin / deg_in_bin are only recomputed when an
-  // h1 coefficient actually moved, cbin_/colors_in_bin_ when h2 did.
+  // h1 coefficient actually moved, cbin_/colors_in_bin_ (b > 2) when h2 did.
   std::vector<std::uint32_t> cbin_;           // per distinct color: bin 1..b-1
   std::vector<std::uint64_t> colors_in_bin_;  // per color bin: |h2^-1(bin)|
   ClassifyScratch scratch_;

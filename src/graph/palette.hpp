@@ -18,8 +18,9 @@
 //                 mutating pipelines genuinely need per-node palettes, so
 //                 finer granularity would only complicate the hot accessors.
 // PaletteIndex (below) is the seed engines' read-only view of a node list's
-// palettes over their distinct colors; the drivers restrict palettes to a
-// color bin by lookup in it (restrict_to_bin).
+// palettes over their distinct colors; when a partition has several color
+// bins, the drivers restrict palettes to a color bin by lookup in it
+// (restrict_to_bin).
 #pragma once
 
 #include <cstdint>
@@ -130,9 +131,11 @@ class PaletteSet {
 /// The palettes of a node list, indexed over their color universe: the
 /// sorted distinct colors of every listed palette, and per listed node
 /// either "full" (its palette is the whole universe) or its colors as
-/// universe slots. Both seed engines hold one: h2 is evaluated once per
-/// universe color, and p'(v) comes from a per-bin count for full palettes
-/// and from the slots otherwise.
+/// universe slots. Both seed engines build one when a partition has several
+/// color bins (b > 2): h2 is evaluated once per universe color, and p'(v)
+/// comes from a per-bin count for full palettes and from the slots
+/// otherwise. At b = 2 the one color bin keeps every color, so the engines
+/// read p'(v) from the palette size and build none.
 ///
 /// Built in O(Σ|palette| + D log D) for D distinct colors: a hash set
 /// collects the distinct colors, only those D are sorted, and each partial
@@ -142,6 +145,9 @@ class PaletteSet {
 /// index is identical for every thread count.
 class PaletteIndex {
  public:
+  /// The index of no nodes: no colors, no slots.
+  PaletteIndex() = default;
+
   /// Index the palettes of `nodes` (local node i is `palettes` node
   /// nodes[i]). Any Color value may appear in a palette.
   PaletteIndex(std::span<const NodeId> nodes, const PaletteSet& palettes,

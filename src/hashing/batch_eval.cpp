@@ -46,9 +46,9 @@ bool M61PowerTable::matches(std::span<const std::uint64_t> points,
 
 std::shared_ptr<const M61PowerTable> acquire_power_table(
     PowerTableProvider* provider, std::span<const std::uint64_t> points,
-    unsigned independence) {
+    unsigned independence, ExecContext exec) {
   if (provider != nullptr) return provider->acquire(points, independence);
-  return std::make_shared<M61PowerTable>(points, independence);
+  return std::make_shared<M61PowerTable>(points, independence, exec);
 }
 
 BatchKWiseEval::BatchKWiseEval(std::span<const std::uint64_t> points,

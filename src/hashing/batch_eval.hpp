@@ -83,10 +83,11 @@ class PowerTableProvider {
       std::span<const std::uint64_t> points, unsigned independence) = 0;
 };
 
-/// Build a table directly when `provider` is null, else route through it.
+/// Build a table directly, sharded over `exec`, when `provider` is null;
+/// else route through the provider, which builds its own tables.
 std::shared_ptr<const M61PowerTable> acquire_power_table(
     PowerTableProvider* provider, std::span<const std::uint64_t> points,
-    unsigned independence);
+    unsigned independence, ExecContext exec);
 
 class BatchKWiseEval {
  public:

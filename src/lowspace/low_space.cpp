@@ -253,7 +253,7 @@ class LsDriver {
     }
 
     // Assign: violators join the low-degree set G0. Bins list `high`-local
-    // ids — the engine's index positions — so the children are induced from
+    // ids — the engine's node positions — so the children are induced from
     // `high` (the same subgraphs as from `inst`: high_local is ascending).
     std::vector<std::vector<NodeId>> bin_high(b);
     std::vector<NodeId> g0_local = low_local;
@@ -270,11 +270,14 @@ class LsDriver {
     // computed per distinct color for the chosen seed. This happens
     // *before* the sibling group is spawned: it is what makes the group's
     // palettes pairwise disjoint, and with them every cross-branch
-    // interaction harmless.
-    for (std::uint64_t i = 0; i + 1 < b; ++i) {
-      pal_.restrict_to_bin(bin_high[i], high.orig, engine.palette_index(),
-                           engine.color_bins(),
-                           static_cast<std::uint32_t>(i + 1), p_.exec);
+    // interaction harmless. At b = 2 there is no group: h2 has range 1, the
+    // one color bin keeps every color and recurses inline.
+    if (b > 2) {
+      for (std::uint64_t i = 0; i + 1 < b; ++i) {
+        pal_.restrict_to_bin(bin_high[i], high.orig, engine.palette_index(),
+                             engine.color_bins(),
+                             static_cast<std::uint32_t>(i + 1), p_.exec);
+      }
     }
 
     // Recurse on color bins in parallel (disjoint palettes): dispatched as

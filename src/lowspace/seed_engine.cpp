@@ -15,17 +15,24 @@ LowSpaceSeedEngine::LowSpaceSeedEngine(const Graph& g,
                                        ExecContext exec,
                                        PowerTableProvider* tables)
     : g_(g),
+      orig_(orig),
+      pal_(palettes),
       b_(num_bins),
       c_(independence),
-      index_(orig, palettes, exec),
       h1_(acquire_power_table(
               tables,
-              std::vector<std::uint64_t>(orig.begin(), orig.end()), c_),
+              std::vector<std::uint64_t>(orig.begin(), orig.end()), c_, exec),
           b_),
-      h2_(acquire_power_table(tables, index_.colors(), c_), b_ - 1),
       exec_(exec) {
   DC_CHECK(b_ >= 2, "low-space partition needs at least 2 bins");
   DC_CHECK(orig.size() == g.num_nodes(), "orig map size mismatch");
+  if (b_ > 2) {  // several color bins (b = 2: no h2 state, header comment)
+    index_ = PaletteIndex(orig, palettes, exec);
+    h2_.emplace(acquire_power_table(tables, index_.colors(), c_, exec),
+                b_ - 1);
+    cbin_.assign(index_.num_colors(), 0);
+    colors_in_bin_.assign(b_ - 1, 0);
+  }
 
   const NodeId n = g.num_nodes();
   dev_target_.resize(n);
@@ -37,16 +44,15 @@ LowSpaceSeedEngine::LowSpaceSeedEngine(const Graph& g,
   }
   bin_.assign(n, 0);
   dprime_.assign(n, 0);
-  cbin_.assign(index_.num_colors(), 0);
-  colors_in_bin_.assign(b_ - 1, 0);
   good_.assign(n, 0);
 }
 
 std::uint64_t LowSpaceSeedEngine::violations(const SeedBits& seed) {
   // Incremental coefficient load: an MCE chunk inside the h2 half leaves h1
-  // untouched and skips the O(m) d'(v) pass entirely, and vice versa.
+  // untouched and skips the O(m) d'(v) pass entirely, and vice versa. At
+  // b = 2 the verdicts do not depend on h2's words at all.
   const bool h1_changed = h1_.load(seed.word_range(0, c_), exec_);
-  const bool h2_changed = h2_.load(seed.word_range(c_, c_), exec_);
+  const bool h2_changed = h2_ && h2_->load(seed.word_range(c_, c_), exec_);
   if (primed_ && !h1_changed && !h2_changed) return cached_bad_;
 
   const NodeId n = g_.num_nodes();
@@ -67,8 +73,8 @@ std::uint64_t LowSpaceSeedEngine::violations(const SeedBits& seed) {
     });
   }
 
-  if (h2_changed || !primed_) {
-    h2_.bins_into(cbin_, /*offset=*/1, exec_);  // 1..b-1
+  if (h2_ && (h2_changed || !primed_)) {
+    h2_->bins_into(cbin_, /*offset=*/1, exec_);  // 1..b-1
     colors_in_bin_.assign(b_ - 1, 0);
     for (std::size_t k = 0; k < cbin_.size(); ++k) {
       ++colors_in_bin_[cbin_[k] - 1];
@@ -77,8 +83,9 @@ std::uint64_t LowSpaceSeedEngine::violations(const SeedBits& seed) {
 
   // Verdict pass: the exact Lemma 4.5 test of the naive implementation (the
   // float ops run on the precomputed per-node doubles, so they associate
-  // identically), with p'(v) memoized per distinct color and read in O(1)
-  // for full-universe palettes. Shard-ordered integer sum.
+  // identically), with p'(v) the palette size at b = 2, else memoized per
+  // distinct color and read in O(1) for full-universe palettes.
+  // Shard-ordered integer sum.
   cached_bad_ = parallel_reduce_shards(
       exec_, n, std::uint64_t{0},
       [&](std::size_t, std::size_t begin, std::size_t end) {
@@ -89,7 +96,9 @@ std::uint64_t LowSpaceSeedEngine::violations(const SeedBits& seed) {
                     slack_[v];
           if (ok && bin_[v] != b_) {
             std::uint64_t pprime = 0;
-            if (index_.full(v)) {
+            if (!h2_) {  // the one color bin keeps every color
+              pprime = pal_.palette_size(orig_[v]);
+            } else if (index_.full(v)) {
               pprime = colors_in_bin_[bin_[v] - 1];
             } else {
               for (const std::uint32_t k : index_.slots(v)) {

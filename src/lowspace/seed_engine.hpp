@@ -16,13 +16,17 @@
 // exactly in the style of core/seed_eval.hpp:
 //
 //  * power tables (BatchKWiseEval) over the node ids and the distinct
-//    palette colors, built once per search — a candidate costs one
-//    multiply-add per point per *changed* seed word;
+//    palette colors, built once per search (without a PowerTableProvider,
+//    sharded over exec) — a candidate costs one multiply-add per point per
+//    *changed* seed word;
 //  * distinct-color memoization — h2 is evaluated once per distinct color in
 //    the union of palettes; nodes whose palette is the full color universe
 //    read their p'(v) from a per-bin color count in O(1). The index behind
-//    it is the PaletteIndex SeedEvalEngine holds (graph/palette.hpp):
+//    it is the PaletteIndex SeedEvalEngine builds (graph/palette.hpp):
 //    O(Σ|palette| + D log D) for D distinct colors, sharded over exec;
+//  * one color bin — at b = 2, h2 has range 1, so p'(v) is |P(v)| and the
+//    engine builds neither the index nor h2's power table; a candidate that
+//    moves only h2's words keeps the memoized violator count;
 //  * change tracking — an MCE chunk inside the h2 half of the seed leaves h1
 //    untouched, so the d'(v) neighbor pass (the expensive O(m) part) is
 //    skipped wholesale, and vice versa;
@@ -43,6 +47,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -58,9 +63,9 @@ namespace detcol {
 
 class LowSpaceSeedEngine {
  public:
-  /// Precomputes power tables and the distinct-color index for the local
-  /// graph `g` with original ids `orig` and the palettes of the *original*
-  /// graph. All three must outlive the engine and stay unmodified while it
+  /// Precomputes power tables and (b > 2) the distinct-color index for the
+  /// local graph `g` with original ids `orig` and the palettes of the
+  /// *original* graph. All three must outlive the engine and stay unmodified while it
   /// is in use (the driver holds palettes fixed for the whole seed search).
   /// Seed layout: `independence` words for h1 (range `num_bins`), then
   /// `independence` words for h2 (range `num_bins` - 1). `tables`, when
@@ -90,22 +95,28 @@ class LowSpaceSeedEngine {
   std::span<const char> good() const { return good_; }
 
   std::uint64_t num_bins() const { return b_; }
-  std::size_t num_distinct_colors() const { return index_.num_colors(); }
 
   /// The palette index, and per index color its h2 bin (1..b-1) under the
   /// last violations() call: what the driver restricts the color bins'
-  /// palettes with (PaletteSet::restrict_to_bin).
+  /// palettes with (PaletteSet::restrict_to_bin). Both are empty at b = 2,
+  /// where the one color bin keeps every color.
   const PaletteIndex& palette_index() const { return index_; }
   std::span<const std::uint32_t> color_bins() const { return cbin_; }
 
  private:
   const Graph& g_;
+  std::span<const NodeId> orig_;
+  const PaletteSet& pal_;
   std::uint64_t b_;
   unsigned c_;
 
-  PaletteIndex index_;  // the nodes' palettes over their color universe
-  BatchKWiseEval h1_;   // points: original node ids, range b
-  BatchKWiseEval h2_;   // points: distinct colors, range b-1
+  BatchKWiseEval h1_;  // points: original node ids, range b
+
+  // b > 2 only (file comment): the nodes' palettes over their color
+  // universe, and h2 over the universe colors.
+  PaletteIndex index_;
+  std::optional<BatchKWiseEval> h2_;  // points: distinct colors, range b-1
+
   // Per node: its degree target d/b and slack (seed-independent doubles of
   // the Lemma 4.5 test, precomputed so every evaluation runs the identical
   // float ops).
@@ -113,7 +124,7 @@ class LowSpaceSeedEngine {
   std::vector<double> slack_;
 
   // Per-evaluation scratch. bin_/dprime_ are only recomputed when an h1
-  // coefficient actually moved, cbin_/colors_in_bin_ when h2 did.
+  // coefficient actually moved, cbin_/colors_in_bin_ (b > 2) when h2 did.
   std::vector<std::uint32_t> bin_;            // per node: h1 bin 1..b
   std::vector<std::uint64_t> dprime_;         // per node: same-bin degree
   std::vector<std::uint32_t> cbin_;           // per distinct color: 1..b-1

@@ -85,81 +85,98 @@ struct NaiveViolations {
 
 // --- Layer 1: engine vs naive ------------------------------------------
 
+// Each engine test runs at b = 2 too, where the one color bin keeps every
+// color and the engine reads p'(v) from the palette size: no index, no h2.
+
 TEST(LowSpaceSeedEngine, MatchesNaiveOnUniformPalettes) {
   const Graph g = gen_random_regular(512, 24, 3);
   const PaletteSet pal = PaletteSet::delta_plus_one(g);
   std::vector<NodeId> orig(g.num_nodes());
   std::iota(orig.begin(), orig.end(), NodeId{0});
-  const std::uint64_t b = 8;
   const unsigned c = 4;
   const unsigned bits = 2 * KWiseHash::seed_bits(c);
-  const NaiveViolations naive{g, orig, pal, b, 0.6};
-  LowSpaceSeedEngine engine(g, orig, pal, b, c, 0.6);
-  for (unsigned i = 0; i < 24; ++i) {
-    const SeedBits s = SeedBits::expand(bits, 0xE0A1, i);
-    const KWiseHash h1(s.word_range(0, c), b);
-    const KWiseHash h2(s.word_range(c, c), b - 1);
-    std::vector<std::uint32_t> bins;
-    std::vector<char> good;
-    const std::uint64_t want = naive.count(h1, h2, &bins, &good);
-    ASSERT_EQ(engine.violations(s), want) << "seed " << i;
-    ASSERT_EQ(std::vector<std::uint32_t>(engine.bins().begin(),
-                                         engine.bins().end()),
-              bins);
-    ASSERT_EQ(std::vector<char>(engine.good().begin(), engine.good().end()),
-              good);
+  for (const std::uint64_t b : {8u, 2u}) {
+    const NaiveViolations naive{g, orig, pal, b, 0.6};
+    LowSpaceSeedEngine engine(g, orig, pal, b, c, 0.6);
+    for (unsigned i = 0; i < 24; ++i) {
+      const SeedBits s = SeedBits::expand(bits, 0xE0A1, i);
+      const KWiseHash h1(s.word_range(0, c), b);
+      const KWiseHash h2(s.word_range(c, c), b - 1);
+      std::vector<std::uint32_t> bins;
+      std::vector<char> good;
+      const std::uint64_t want = naive.count(h1, h2, &bins, &good);
+      ASSERT_EQ(engine.violations(s), want) << "b=" << b << " seed " << i;
+      ASSERT_EQ(std::vector<std::uint32_t>(engine.bins().begin(),
+                                           engine.bins().end()),
+                bins);
+      ASSERT_EQ(std::vector<char>(engine.good().begin(), engine.good().end()),
+                good);
+    }
   }
 }
 
 TEST(LowSpaceSeedEngine, MatchesNaiveOnListPalettesAndSubinstance) {
-  // Non-identity orig mapping with per-node lists: exercises the
-  // partial-palette index path (not the full-universe fast path).
+  // Non-identity orig mapping with per-node lists: at b > 2 this exercises
+  // the partial-palette index path (not the full-universe fast path). The
+  // short lists (the (deg+1)-lists of a sparser graph) often hold no more
+  // colors than d'(v), so at b = 2 too the verdicts depend on which node's
+  // palette p'(v) counts.
   const Graph full = gen_gnp(400, 0.05, 9);
   std::vector<NodeId> nodes;
   for (NodeId v = 0; v < 400; v += 3) nodes.push_back(v);
   const Graph g = induced_subgraph(full, nodes);
-  const PaletteSet pal = PaletteSet::deg_plus_one_lists(full, 4000, 17);
-  const std::uint64_t b = 5;
+  const PaletteSet lists = PaletteSet::deg_plus_one_lists(full, 4000, 17);
+  const PaletteSet short_lists =
+      PaletteSet::deg_plus_one_lists(gen_gnp(400, 0.01, 3), 4000, 17);
   const unsigned c = 4;
   const unsigned bits = 2 * KWiseHash::seed_bits(c);
-  const NaiveViolations naive{g, nodes, pal, b, 0.6};
-  LowSpaceSeedEngine engine(g, nodes, pal, b, c, 0.6);
-  for (unsigned i = 0; i < 16; ++i) {
-    const SeedBits s = SeedBits::expand(bits, 0x5AB, i);
-    ASSERT_EQ(engine.cost(s), naive.cost(s, c)) << "seed " << i;
+  for (const PaletteSet* pal : {&lists, &short_lists}) {
+    for (const std::uint64_t b : {5u, 2u}) {
+      const NaiveViolations naive{g, nodes, *pal, b, 0.6};
+      LowSpaceSeedEngine engine(g, nodes, *pal, b, c, 0.6);
+      for (unsigned i = 0; i < 16; ++i) {
+        const SeedBits s = SeedBits::expand(bits, 0x5AB, i);
+        ASSERT_EQ(engine.cost(s), naive.cost(s, c))
+            << (pal == &lists ? "lists" : "short lists") << " b=" << b
+            << " seed " << i;
+      }
+    }
   }
 }
 
 TEST(LowSpaceSeedEngine, MceCandidateStreamStaysExact) {
   // The exact evaluation order of the sampled-MCE strategy: chunk flips plus
   // deterministic suffix refills, where consecutive candidates share most
-  // words — the incremental path the engine optimizes.
+  // words — the incremental path the engine optimizes. The chunks of h2's
+  // half leave h1's words alone, so at b = 2 those candidates return the
+  // memoized count.
   const Graph g = gen_random_regular(256, 16, 5);
   const PaletteSet pal = PaletteSet::delta_plus_one(g);
   std::vector<NodeId> orig(g.num_nodes());
   std::iota(orig.begin(), orig.end(), NodeId{0});
-  const std::uint64_t b = 6;
   const unsigned c = 4;
   const unsigned bits = 2 * KWiseHash::seed_bits(c);
-  const NaiveViolations naive{g, orig, pal, b, 0.6};
-  LowSpaceSeedEngine engine(g, orig, pal, b, c, 0.6);
-  SeedBits prefix(bits);
-  SeedBits completion(bits);
-  unsigned checked = 0;
-  for (unsigned fixed = 0; fixed < bits; fixed += 64) {
-    for (std::uint64_t v = 0; v < 4; ++v) {
-      prefix.set_bits(fixed, 64, 0x1234567ULL * (v + 1));
-      for (unsigned s = 0; s < 2; ++s) {
-        completion = prefix;
-        completion.fill_suffix(fixed + 64 > bits ? bits : fixed + 64,
-                               0xABCD ^ fixed, s);
-        ASSERT_EQ(engine.cost(completion), naive.cost(completion, c))
-            << "fixed=" << fixed << " v=" << v << " s=" << s;
-        ++checked;
+  for (const std::uint64_t b : {6u, 2u}) {
+    const NaiveViolations naive{g, orig, pal, b, 0.6};
+    LowSpaceSeedEngine engine(g, orig, pal, b, c, 0.6);
+    SeedBits prefix(bits);
+    SeedBits completion(bits);
+    unsigned checked = 0;
+    for (unsigned fixed = 0; fixed < bits; fixed += 64) {
+      for (std::uint64_t v = 0; v < 4; ++v) {
+        prefix.set_bits(fixed, 64, 0x1234567ULL * (v + 1));
+        for (unsigned s = 0; s < 2; ++s) {
+          completion = prefix;
+          completion.fill_suffix(fixed + 64 > bits ? bits : fixed + 64,
+                                 0xABCD ^ fixed, s);
+          ASSERT_EQ(engine.cost(completion), naive.cost(completion, c))
+              << "b=" << b << " fixed=" << fixed << " v=" << v << " s=" << s;
+          ++checked;
+        }
       }
     }
+    EXPECT_EQ(checked, 64u) << "b=" << b;
   }
-  EXPECT_EQ(checked, 64u);
 }
 
 TEST(MisPhaseEngine, PrioritiesMatchKWiseFieldEval) {
@@ -446,10 +463,10 @@ TEST(ParallelInvariance, LowSpaceBitIdenticalAcrossThreadCounts) {
 TEST(ParallelInvariance, LowSpaceMultiBinRestriction) {
   // delta = 0.2 gives b = 3 at n = 900, so palettes split across two
   // concurrently recursing color bins (the goldens above all have b = 2,
-  // where every color lands in the one color bin); a lower low-degree
-  // exponent makes every node partition. The (deg+1)-list case diverts
-  // violators into G0. Fingerprints were captured from the driver before
-  // the restriction became a table lookup.
+  // where the one color bin keeps every color and nothing is restricted);
+  // a lower low-degree exponent makes every node partition. The
+  // (deg+1)-list case diverts violators into G0. Fingerprints were captured
+  // from the driver before the restriction became a table lookup.
   const Graph g = gen_random_regular(900, 64, 9);
   LowSpaceParams base_params;
   base_params.delta = 0.2;

@@ -6,6 +6,7 @@
 #include "core/partition.hpp"
 #include "core/seed_eval.hpp"
 #include "graph/generators.hpp"
+#include "lowspace/seed_engine.hpp"
 
 namespace detcol {
 namespace {
@@ -78,6 +79,39 @@ TEST(Partition, ColorBinsAreTheChosenH2OverThePaletteUniverse) {
     for (std::size_t k = 0; k < want.num_colors(); ++k) {
       EXPECT_EQ(pr.color_bin[k], pr.h2(want.colors()[k]) + 1) << "slot " << k;
     }
+  }
+}
+
+TEST(Partition, OneColorBinBuildsNoPaletteIndex) {
+  // At the default b = 2, h2 has range 1 and sends every color to the one
+  // color bin, which keeps its whole palette. So neither seed engine
+  // indexes the palettes, partition() hands back no color bins, and a good
+  // bin-1 node's p'(v) is its palette size.
+  const Graph g = gen_gnp(800, 0.05, 14);
+  const Instance inst = make_instance(g, g.max_degree());
+  const PartitionParams params;
+  const unsigned bits = 2 * KWiseHash::seed_bits(params.independence);
+  for (const PaletteSet& pal :
+       {PaletteSet::delta_plus_one(g),
+        PaletteSet::deg_plus_one_lists(g, 1u << 16, 5)}) {
+    const auto pr = partition(inst, pal, 800, params, nullptr, nullptr, 3);
+    ASSERT_EQ(pr.num_bins, 2u);
+    EXPECT_TRUE(pr.palettes.colors().empty());
+    EXPECT_TRUE(pr.color_bin.empty());
+    std::size_t bin1 = 0;
+    for (NodeId v = 0; v < inst.n(); ++v) {
+      if (pr.cls.bin_of[v] != 1) continue;
+      ++bin1;
+      EXPECT_EQ(pr.cls.pal_in_bin[v], pal.palette_size(inst.orig[v]))
+          << "node " << v;
+    }
+    EXPECT_GT(bin1, 0u);
+
+    LowSpaceSeedEngine engine(inst.graph, inst.orig, pal, /*num_bins=*/2,
+                              params.independence, /*slack_exp=*/0.6);
+    engine.violations(SeedBits::expand(bits, 0xB2, 0));
+    EXPECT_TRUE(engine.palette_index().colors().empty());
+    EXPECT_TRUE(engine.color_bins().empty());
   }
 }
 

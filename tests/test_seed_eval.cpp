@@ -130,7 +130,38 @@ TEST(BatchEval, DistinctWordsSameResidue) {
   }
 }
 
+TEST(BatchEval, ShardedPowerTableMatchesSequential) {
+  // 10,007 points are five shards of the 2048-point grain, so at 2+ threads
+  // concurrently running shards write the columns of every row.
+  Xoshiro256 rng(2048);
+  std::vector<std::uint64_t> points(10007);
+  for (auto& p : points) p = rng.next();
+  points[0] = kMersenne61;  // reduces to 0
+  const unsigned c = 4;
+  const M61PowerTable want(points, c);
+  for (const unsigned t : {1u, 2u, 4u, 7u}) {
+    ThreadPool pool(t);
+    const auto got =
+        acquire_power_table(nullptr, points, c, ExecContext(pool));
+    ASSERT_EQ(got->num_points(), points.size());
+    ASSERT_EQ(got->independence(), c);
+    for (unsigned j = 0; j < c; ++j) {
+      EXPECT_TRUE(std::equal(want.row(j), want.row(j) + points.size(),
+                             got->row(j)))
+          << t << " threads, row " << j;
+    }
+  }
+}
+
 // --- Layer 2: SeedEvalEngine vs classify() ------------------------------
+
+/// Three color bins: the engine indexes the palettes and evaluates h2 per
+/// distinct color. The default b = 2 has one color bin and does neither.
+PartitionParams four_bins() {
+  PartitionParams params;
+  params.min_bins = 4;
+  return params;
+}
 
 void check_engine_matches_classify(const Instance& inst, const PaletteSet& pal,
                                    std::uint64_t n_orig,
@@ -158,18 +189,20 @@ TEST(SeedEvalEngine, MatchesClassifyUniformPalettes) {
   const Graph g = gen_random_regular(512, 24, 3);
   const Instance inst = root_instance(g);
   const PaletteSet pal = PaletteSet::delta_plus_one(g);
-  check_engine_matches_classify(inst, pal, g.num_nodes(), PartitionParams{},
-                                24);
+  for (const PartitionParams& params : {PartitionParams{}, four_bins()}) {
+    check_engine_matches_classify(inst, pal, g.num_nodes(), params, 24);
+  }
 }
 
 TEST(SeedEvalEngine, MatchesClassifyListPalettes) {
-  // deg+1 lists: palettes differ per node, so the engine's partial-palette
-  // index path (not the full-universe fast path) is exercised.
+  // deg+1 lists: palettes differ per node, so at b > 2 the engine's
+  // partial-palette index path (not the full-universe fast path) runs.
   const Graph g = gen_gnp(300, 0.06, 9);
   const Instance inst = root_instance(g);
   const PaletteSet pal = PaletteSet::deg_plus_one_lists(g, 4000, 17);
-  check_engine_matches_classify(inst, pal, g.num_nodes(), PartitionParams{},
-                                24);
+  for (const PartitionParams& params : {PartitionParams{}, four_bins()}) {
+    check_engine_matches_classify(inst, pal, g.num_nodes(), params, 24);
+  }
 }
 
 TEST(SeedEvalEngine, MatchesClassifyOnSubinstance) {
@@ -183,40 +216,48 @@ TEST(SeedEvalEngine, MatchesClassifyOnSubinstance) {
   inst.orig = nodes;
   inst.ell = 16.0;
   const PaletteSet pal = PaletteSet::random_lists(g, 5000, 23);
-  check_engine_matches_classify(inst, pal, g.num_nodes(), PartitionParams{},
-                                16);
+  for (const PartitionParams& params : {PartitionParams{}, four_bins()}) {
+    check_engine_matches_classify(inst, pal, g.num_nodes(), params, 16);
+  }
 }
 
 TEST(SeedEvalEngine, MceCandidateStreamStaysExact) {
   // Drive the engine through the exact evaluation order of the sampled-MCE
   // strategy (chunk flips + suffix refills) and spot-check against naive.
+  // The chunks of h2's half leave h1's words alone, so at b = 2 those
+  // candidates return the memoized classification.
   const Graph g = gen_random_regular(256, 16, 5);
   const Instance inst = root_instance(g);
   const PaletteSet pal = PaletteSet::delta_plus_one(g);
-  PartitionParams params;
-  const unsigned c = params.independence;
-  const unsigned bits = 2 * KWiseHash::seed_bits(c);
-  const std::uint64_t b = num_bins(inst.ell, params);
-  SeedEvalEngine engine(inst, pal, g.num_nodes(), params);
-  SeedBits prefix(bits);
-  SeedBits completion(bits);
-  unsigned checked = 0;
-  for (unsigned fixed = 0; fixed < 24; fixed += 8) {
-    for (std::uint64_t v = 0; v < 16; ++v) {
-      prefix.set_bits(fixed, 8, v);
-      for (unsigned s = 0; s < 2; ++s) {
-        completion = prefix;
-        completion.fill_suffix(fixed + 8, 0xABCD ^ fixed, s);
-        const double got = engine.cost_size(completion);
-        auto [h1, h2] = seed_hash_pair(completion, c, b);
-        const double want =
-            classify(inst, pal, h1, h2, g.num_nodes(), params).cost_size;
-        ASSERT_EQ(got, want) << "fixed=" << fixed << " v=" << v << " s=" << s;
-        ++checked;
+  for (const PartitionParams& params : {PartitionParams{}, four_bins()}) {
+    const unsigned c = params.independence;
+    const unsigned bits = 2 * KWiseHash::seed_bits(c);
+    const std::uint64_t b = num_bins(inst.ell, params);
+    SeedEvalEngine engine(inst, pal, g.num_nodes(), params);
+    SeedBits completion(bits);
+    unsigned checked = 0;
+    for (const unsigned half : {0u, KWiseHash::seed_bits(c)}) {
+      SeedBits prefix = half == 0 ? SeedBits(bits)
+                                  : SeedBits::expand(bits, 0x5EED, 0);
+      for (unsigned fixed = half; fixed < half + 24; fixed += 8) {
+        for (std::uint64_t v = 0; v < 16; ++v) {
+          prefix.set_bits(fixed, 8, v);
+          for (unsigned s = 0; s < 2; ++s) {
+            completion = prefix;
+            completion.fill_suffix(fixed + 8, 0xABCD ^ fixed, s);
+            const double got = engine.cost_size(completion);
+            auto [h1, h2] = seed_hash_pair(completion, c, b);
+            const double want =
+                classify(inst, pal, h1, h2, g.num_nodes(), params).cost_size;
+            ASSERT_EQ(got, want) << "b=" << b << " fixed=" << fixed
+                                 << " v=" << v << " s=" << s;
+            ++checked;
+          }
+        }
       }
     }
+    EXPECT_EQ(checked, 192u) << "b=" << b;
   }
-  EXPECT_EQ(checked, 96u);
 }
 
 // --- Layer 3: select_seed backend equivalence + golden fingerprints ------
@@ -459,14 +500,14 @@ TEST(ParallelInvariance, ForcedRecursionLedgersIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelInvariance, ColorReduceShardedPassesAtScale) {
-  // n = 2^13: the root's and depth 1's child builds, palette restrictions
-  // and palette updates each span several 2048-node shards, so at 2+
-  // threads those shards really run concurrently (every case above fits in
-  // one shard). The (deg+1)-lists add 0, 2^64-2 and 2^64-1 to every list.
-  // With the default b = 2 every color lands in the one color bin; the
-  // min_bins = 3 case splits palettes across two concurrently recursing
-  // color bins, and its fingerprint was captured from the driver before
-  // the restriction became a table lookup.
+  // n = 2^13: the root's and depth 1's child builds, palette updates and
+  // (min_bins = 3) palette restrictions each span several 2048-node shards,
+  // so at 2+ threads those shards really run concurrently (every case above
+  // fits in one shard). The (deg+1)-lists add 0, 2^64-2 and 2^64-1 to every
+  // list. With the default b = 2 there is one color bin, which keeps every
+  // color, so nothing is restricted; the min_bins = 3 case splits palettes
+  // across two concurrently recursing color bins, and its fingerprint was
+  // captured from the driver before the restriction became a table lookup.
   const NodeId n = NodeId{1} << 13;
   const Graph g = gen_gnp(n, 32.0 / n, 61);
   constexpr Color kMax = std::numeric_limits<Color>::max();

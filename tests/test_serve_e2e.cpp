@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
-#include <sys/stat.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -116,13 +118,30 @@ class ServerGuard {
       ::_exit(127);
     }
     ASSERT_GT(pid_, 0) << "fork failed";
-    // Wait for the listener: the socket file appears once bind() succeeds.
+    // Wait for the listener. The socket file appears at bind(), which may
+    // come before listen(), so wait until a connect succeeds. The probe
+    // sends nothing: the server sees a connection that closes at once and
+    // neither logs nor counts a request.
     for (int i = 0; i < 500; ++i) {
-      struct stat st{};
-      if (::stat(socket.c_str(), &st) == 0) return;
+      if (accepts_connections(socket)) return;
       ::usleep(10 * 1000);
     }
-    FAIL() << "server did not create " << socket << " within 5s";
+    FAIL() << "server did not listen on " << socket << " within 5s";
+  }
+
+  /// A bare connect: refused before bind() (no file) and before listen().
+  static bool accepts_connections(const fs::path& socket) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    const std::string path = socket.string();
+    if (path.size() >= sizeof(addr.sun_path)) return false;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return false;
+    const bool ok = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                              sizeof(addr)) == 0;
+    ::close(fd);
+    return ok;
   }
 
   pid_t pid_ = -1;
