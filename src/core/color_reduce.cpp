@@ -365,7 +365,9 @@ class Driver {
   const CliqueModel model_;
 
   // Per-node slots with exactly one writer per entry (see class comment).
-  PaletteSet pal_;  // mutated during the run (restrictions + updates)
+  // Restricted and updated during the run. It shares the caller's rows
+  // until its first write, which copies them (graph/palette.hpp).
+  PaletteSet pal_;
   ColorReduceResult result_;
 };
 

@@ -208,8 +208,9 @@ std::uint64_t remove_neighbor_colors(
     FunctionRef<void(NodeId, Color)> on_removed) {
   const auto sum = [](std::uint64_t a, std::uint64_t b) { return a + b; };
   if (palettes.shared()) {
-    // The serial update materialized on its first removal only; keep that
-    // (a set nobody removes from stays shared).
+    // Take rows of our own only when some removal will happen, so a set
+    // nobody removes from stays shared, and take them here on the calling
+    // thread: never inside a shard.
     const std::uint64_t hits = parallel_reduce_shards(
         exec, nodes.size(), std::uint64_t{0},
         [&](std::size_t, std::size_t begin, std::size_t end) {

@@ -99,8 +99,8 @@ bool greedy_collect(const Graph& g, const PaletteSet& palettes,
 /// count does not depend on the schedule.
 ///
 /// One pass per node (sort the neighbor colors, one merge over the sorted
-/// palette), sharded over `nodes`. A shared-uniform set is materialized
-/// first, serially, and only when some removal will happen.
+/// palette), sharded over `nodes`. A shared set (PaletteSet::shared) is
+/// materialized first, serially, and only when some removal will happen.
 std::uint64_t remove_neighbor_colors(
     const Graph& g, const Coloring& coloring, std::span<const NodeId> nodes,
     PaletteSet& palettes, ExecContext exec,

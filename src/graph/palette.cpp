@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "util/check.hpp"
@@ -11,28 +12,60 @@
 namespace detcol {
 
 PaletteSet::PaletteSet(std::vector<std::vector<Color>> palettes)
-    : pal_(std::move(palettes)) {
-  for (auto& p : pal_) {
+    : num_nodes_(static_cast<NodeId>(palettes.size())) {
+  for (auto& p : palettes) {
     std::sort(p.begin(), p.end());
     DC_CHECK(std::adjacent_find(p.begin(), p.end()) == p.end(),
              "palette contains duplicate colors");
   }
+  shared_ = std::make_shared<const std::vector<std::vector<Color>>>(
+      std::move(palettes));
+  rows_ = shared_->data();
+}
+
+PaletteSet::PaletteSet(const PaletteSet& other)
+    : shared_(other.shared_),
+      own_(other.own_),
+      rows_(shared_ ? shared_->data() : own_.data()),
+      num_nodes_(other.num_nodes_),
+      uniform_(other.uniform_) {}
+
+PaletteSet::PaletteSet(PaletteSet&& other) noexcept { swap(other); }
+
+PaletteSet& PaletteSet::operator=(PaletteSet other) noexcept {
+  swap(other);
+  return *this;
+}
+
+// Swapping own_ keeps each buffer where it is, so rows_ stays valid for
+// whichever set now holds it.
+void PaletteSet::swap(PaletteSet& other) noexcept {
+  std::swap(shared_, other.shared_);
+  std::swap(own_, other.own_);
+  std::swap(rows_, other.rows_);
+  std::swap(num_nodes_, other.num_nodes_);
+  std::swap(uniform_, other.uniform_);
 }
 
 PaletteSet PaletteSet::uniform(NodeId num_nodes, Color num_colors) {
-  auto colors = std::make_shared<std::vector<Color>>(num_colors);
-  for (Color c = 0; c < num_colors; ++c) (*colors)[c] = c;
-  PaletteSet out;
-  out.shared_ = std::move(colors);
-  out.shared_nodes_ = num_nodes;
+  std::vector<std::vector<Color>> row(1, std::vector<Color>(num_colors));
+  std::iota(row[0].begin(), row[0].end(), Color{0});
+  PaletteSet out(std::move(row));
+  out.num_nodes_ = num_nodes;
+  out.uniform_ = true;
   return out;
 }
 
 void PaletteSet::materialize() {
   if (!shared_) return;
-  pal_.assign(shared_nodes_, *shared_);
+  if (uniform_) {
+    own_.assign(num_nodes_, rows_[0]);
+  } else {
+    own_ = *shared_;
+  }
   shared_.reset();
-  shared_nodes_ = 0;
+  rows_ = own_.data();
+  uniform_ = false;
 }
 
 PaletteSet PaletteSet::delta_plus_one(const Graph& g) {
@@ -88,29 +121,25 @@ PaletteSet PaletteSet::deg_plus_one_lists(const Graph& g, Color color_space,
 }
 
 std::size_t PaletteSet::total_size() const {
-  if (shared_) return std::size_t{shared_nodes_} * shared_->size();
+  if (uniform_) return std::size_t{num_nodes_} * rows_[0].size();
   std::size_t s = 0;
-  for (const auto& p : pal_) s += p.size();
+  for (NodeId v = 0; v < num_nodes_; ++v) s += rows_[v].size();
   return s;
 }
 
 void PaletteSet::restrict(NodeId v, FunctionRef<bool(Color)> keep) {
   materialize();
-  auto& p = pal_[v];
+  auto& p = own_[v];
   p.erase(std::remove_if(p.begin(), p.end(),
                          [&](Color c) { return !keep(c); }),
           p.end());
 }
 
 bool PaletteSet::remove_color(NodeId v, Color c) {
-  // A miss must not cost the whole-set materialization: the uniform palette
-  // is {0..k-1}, so c >= k is decidable in shared mode.
-  if (shared_ && c >= shared_->size()) return false;
+  if (!contains(v, c)) return false;  // a miss must not cost the copy
   materialize();
-  auto& p = pal_[v];
-  const auto it = std::lower_bound(p.begin(), p.end(), c);
-  if (it == p.end() || *it != c) return false;
-  p.erase(it);
+  auto& p = own_[v];
+  p.erase(std::lower_bound(p.begin(), p.end(), c));
   return true;
 }
 
@@ -128,7 +157,7 @@ void PaletteSet::restrict_to_bin(std::span<const NodeId> positions,
       const std::size_t i = positions[j];
       const bool full = index.full(i);
       const auto slots = index.slots(i);
-      auto& p = pal_[orig[i]];
+      auto& p = own_[orig[i]];
       DC_ASSERT(p.size() == (full ? index.num_colors() : slots.size()));
       // p[t] is universe color t when full, else universe color slots[t].
       std::size_t kept = 0;
@@ -142,7 +171,7 @@ void PaletteSet::restrict_to_bin(std::span<const NodeId> positions,
 
 std::size_t PaletteSet::remove_colors(NodeId v, std::vector<Color>& colors) {
   DC_ASSERT(!shared_);
-  auto& p = pal_[v];
+  auto& p = own_[v];
   std::size_t kept = 0, removed = 0, j = 0;
   for (std::size_t t = 0; t < p.size(); ++t) {
     const Color c = p[t];
@@ -160,15 +189,14 @@ std::size_t PaletteSet::remove_colors(NodeId v, std::vector<Color>& colors) {
 }
 
 void PaletteSet::truncate(NodeId v, std::size_t k) {
-  if (shared_ && shared_->size() <= k) return;  // no-op, stay shared
+  if (palette_size(v) <= k) return;  // drops nothing: stay shared
   materialize();
-  auto& p = pal_[v];
-  if (p.size() > k) p.resize(k);
+  own_[v].resize(k);
 }
 
 bool PaletteSet::contains(NodeId v, Color c) const {
-  if (shared_) return c < shared_->size();
-  const auto& p = pal_[v];
+  if (uniform_) return c < rows_[0].size();
+  const auto& p = rows_[v];
   return std::binary_search(p.begin(), p.end(), c);
 }
 

@@ -5,18 +5,24 @@
 // mutates palettes in exactly the two ways the paper allows:
 //   * restrict-to-bin (Algorithm 2: keep only colors h2 maps to the bin), and
 //   * remove-used (palette updates before coloring the last bin and G0).
-// Storage comes in two modes behind one accessor surface (the same split
-// Graph makes for owned vs mapped CSR):
-//   * per-node  — every node owns its sorted vector (lists, deg1, or any
-//                 set that has been mutated).
-//   * shared-uniform — uniform()/delta_plus_one() sets, where every node's
-//                 palette is the one immutable vector {0..k-1}. O(1) memory
-//                 instead of Theta(nΔ), which is what lets the read-only
-//                 pipelines (greedy, stats, verify) run on mmap-backed
-//                 graphs far past RAM. The first mutating call materializes
-//                 every node's own copy (whole-set copy-on-write) — the
-//                 mutating pipelines genuinely need per-node palettes, so
-//                 finer granularity would only complicate the hot accessors.
+// The rows are copy-on-write, whole set at a time. A new set and every copy
+// of it read one immutable row store behind a shared pointer, so copying
+// one costs a reference-count increment:
+//   * per-node  — the vector constructor and the list factories: one
+//                 sorted row per node.
+//   * uniform   — uniform()/delta_plus_one() sets, where every node reads
+//                 the one row {0..k-1}. O(k) memory instead of Theta(nΔ),
+//                 which is what lets the read-only pipelines (greedy,
+//                 stats, verify) run on mmap-backed graphs far past RAM.
+// The first write gives the writer rows of its own: a uniform set fills n
+// copies of its row, a per-node set clones its rows. The shared rows are
+// never written, so every other holder (the caller of a driver, a server's
+// cache) keeps reading them unchanged, and a span borrowed from the set
+// before that write stays valid while another holder keeps the store.
+// Whether a set owns its rows is a property of the set object, never of
+// the store's reference count. A set that owns its rows is copied deeply.
+// The mutating pipelines genuinely need per-node palettes, so finer
+// granularity would only complicate the hot accessors.
 // PaletteIndex (below) is the seed engines' read-only view of a node list's
 // palettes over their distinct colors; when a partition has several color
 // bins, the drivers restrict palettes to a color bin by lookup in it
@@ -39,11 +45,18 @@ class PaletteIndex;
 class PaletteSet {
  public:
   PaletteSet() = default;
+  /// Sorts every row; throws CheckError on a duplicate color. The rows
+  /// become the set's shared store (file comment).
   explicit PaletteSet(std::vector<std::vector<Color>> palettes);
 
+  /// O(1) while `other` shares its rows (shared()); otherwise a deep copy.
+  PaletteSet(const PaletteSet& other);
+  PaletteSet(PaletteSet&& other) noexcept;
+  PaletteSet& operator=(PaletteSet other) noexcept;
+
   /// Every node gets the same palette {0, ..., num_colors-1}: the classic
-  /// (Δ+1)-coloring setup when num_colors = Δ+1. Stored shared-uniform
-  /// (see file comment): O(num_colors) memory until the first mutation.
+  /// (Δ+1)-coloring setup when num_colors = Δ+1. Stored uniform (see file
+  /// comment): O(num_colors) memory until the first write.
   static PaletteSet uniform(NodeId num_nodes, Color num_colors);
 
   /// (Δ+1)-coloring palettes for a given graph.
@@ -61,15 +74,12 @@ class PaletteSet {
   static PaletteSet deg_plus_one_lists(const Graph& g, Color color_space,
                                        std::uint64_t seed);
 
-  NodeId num_nodes() const {
-    return shared_ ? shared_nodes_ : static_cast<NodeId>(pal_.size());
-  }
+  NodeId num_nodes() const { return num_nodes_; }
   std::span<const Color> palette(NodeId v) const {
-    return shared_ ? std::span<const Color>(*shared_)
-                   : std::span<const Color>(pal_[v]);
+    return rows_[uniform_ ? 0 : v];
   }
   std::size_t palette_size(NodeId v) const {
-    return shared_ ? shared_->size() : pal_[v].size();
+    return rows_[uniform_ ? 0 : v].size();
   }
 
   /// Total number of stored colors (the Theta(nΔ) term of Theorem 1.2).
@@ -79,27 +89,28 @@ class PaletteSet {
   /// preserves sorted order, so downstream binary searches stay valid.
   void restrict(NodeId v, FunctionRef<bool(Color)> keep);
 
-  /// Remove a single color (used-by-neighbor update). Returns true iff the
-  /// color was present — i.e. the palette actually changed. The ColorReduce
-  /// driver keys its palette-update message accounting off this, which keeps
-  /// the ledger schedule-independent under parallel bin recursion (a color
-  /// committed by a concurrent sibling bin belongs to a disjoint h2 class
-  /// and can never be present here).
+  /// Remove a single color. Returns true iff the color was present — i.e.
+  /// the palette actually changed; a miss leaves a shared set shared. The
+  /// drivers update palettes through remove_neighbor_colors
+  /// (graph/coloring.hpp); this per-color form is the tests' serial
+  /// reference for it.
   bool remove_color(NodeId v, Color c);
 
   /// Drop colors from the back until the palette has at most `k` entries
-  /// (Theorem 1.3: shrink to deg+1 before collecting).
+  /// (Theorem 1.3: shrink to deg+1 before collecting). A call that drops
+  /// nothing leaves a shared set shared.
   void truncate(NodeId v, std::size_t k);
 
   bool contains(NodeId v, Color c) const;
 
-  /// True while every node shares one uniform palette (file comment).
+  /// True until the set's first write: it reads the shared row store that
+  /// its copies may read too (file comment).
   bool shared() const { return shared_ != nullptr; }
 
-  /// Leave shared-uniform mode: give every node its own copy. Called by
-  /// every serial mutator; no-op in per-node mode. The sharded mutators
-  /// below must find the set per-node, because materializing inside a
-  /// shard would race.
+  /// Take rows of this set's own: fill a uniform set's rows, or clone a
+  /// per-node set's. Called by every serial mutator that writes; no-op once
+  /// the set owns its rows. The sharded mutators below must find the set
+  /// owning its rows, because taking them inside a shard would race.
   void materialize();
 
   /// Restrict node orig[i], for every i in `positions`, to one bin of a
@@ -107,8 +118,8 @@ class PaletteSet {
   /// color_bin[k] == bin. `index` must index the current palettes of `orig`
   /// (a seed engine's, with color_bin its h2 bins under the chosen seed).
   /// One table lookup per color, no hashing; shards over `positions`. A
-  /// shared-uniform set is materialized first, serially, unless `positions`
-  /// is empty. Preserves sorted order.
+  /// shared set is materialized first, serially, unless `positions` is
+  /// empty. Preserves sorted order.
   void restrict_to_bin(std::span<const NodeId> positions,
                        std::span<const NodeId> orig, const PaletteIndex& index,
                        std::span<const std::uint32_t> color_bin,
@@ -116,16 +127,22 @@ class PaletteSet {
 
   /// Remove from v's palette, in one merge pass, every color of `colors`
   /// (ascending, duplicate-free). `colors` keeps only the colors that were
-  /// present; their number is returned. Per-node mode only; calls for
-  /// distinct nodes may run concurrently.
+  /// present; their number is returned. The set must own its rows; calls
+  /// for distinct nodes may run concurrently.
   std::size_t remove_colors(NodeId v, std::vector<Color>& colors);
 
  private:
-  std::vector<std::vector<Color>> pal_;  // empty while shared_ is set
-  // Shared-uniform mode: every node's palette is *shared_ ({0..k-1},
-  // immutable — copies of the set alias it safely).
-  std::shared_ptr<const std::vector<Color>> shared_;
-  NodeId shared_nodes_ = 0;
+  void swap(PaletteSet& other) noexcept;
+
+  // The immutable rows this set and its copies read (one row when
+  // uniform_); null once the set owns its rows in own_.
+  std::shared_ptr<const std::vector<std::vector<Color>>> shared_;
+  std::vector<std::vector<Color>> own_;  // empty while shared_ is set
+  // shared_->data() or own_.data(): the accessors reach a row through this
+  // one cached pointer, not through the shared pointer's store.
+  const std::vector<Color>* rows_ = nullptr;
+  NodeId num_nodes_ = 0;
+  bool uniform_ = false;  // every node reads rows_[0] = {0..k-1}
 };
 
 /// The palettes of a node list, indexed over their color universe: the

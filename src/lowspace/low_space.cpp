@@ -324,7 +324,9 @@ class LsDriver {
 
   // Immutable instance state (after the ctor): shared read-only everywhere.
   const Graph& g_;
-  PaletteSet pal_;  // per-node rows, one writer each (class comment)
+  // The caller's rows until the first write gives the driver its own
+  // (graph/palette.hpp); then one writer per row (class comment).
+  PaletteSet pal_;
   LowSpaceParams p_;
   std::uint64_t salt_;
   LowSpaceResult result_;  // coloring entries: one writer each

@@ -17,14 +17,16 @@
 // borrow. In LowSpace (lowspace/low_space.cpp) a branch's MIS call borrows
 // the rows of that branch's nodes, and the branch mutates them only before
 // or after the call. Concurrent sibling branches mutate only their own
-// nodes' rows, which leaves every other row in place. A shared-uniform set
-// (graph/palette.hpp), whose rows all alias one vector, stays shared until
-// its first mutation materializes it. With b > 2 bins that happens before
-// any sibling group with work spawns: restricting the group's palettes
-// (PaletteSet::restrict_to_bin) materializes it. With b = 2 there is no
+// nodes' rows, which leaves every other row in place. The driver's
+// PaletteSet is a copy of the caller's that shares the caller's rows until
+// its first write (graph/palette.hpp); that write gives the driver rows of
+// its own and leaves the caller's in place, so a span borrowed before it
+// keeps reading the caller's rows. With b > 2 bins the first write happens
+// before any sibling group with work spawns: restricting the group's
+// palettes (PaletteSet::restrict_to_bin) makes it. With b = 2 there is no
 // sibling group (the one color bin keeps every color and recurses inline):
-// the first palette update that removes a color materializes the set, and
-// it runs between MIS calls, never during one.
+// the first palette update that removes a color makes it, and it runs
+// between MIS calls, never during one.
 //
 // The conflict search is one merge per edge, sharded over nodes; the
 // per-shard pair lists fold in shard order, so the layout is identical for

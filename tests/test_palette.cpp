@@ -1,16 +1,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <set>
+#include <string>
+#include <thread>
+#include <utility>
 
+#include "core/color_reduce.hpp"
+#include "core/stats_export.hpp"
 #include "derand/seedbits.hpp"
 #include "exec/exec.hpp"
 #include "graph/coloring.hpp"
 #include "graph/generators.hpp"
 #include "graph/palette.hpp"
 #include "hashing/kwise.hpp"
+#include "lowspace/low_space.hpp"
 #include "util/check.hpp"
 
 namespace detcol {
@@ -253,7 +260,8 @@ void expect_same_palettes(const PaletteSet& got, const PaletteSet& want) {
   }
 }
 
-/// Shared-uniform, (deg+1)-list and mixed full/partial palettes of `g`.
+/// Uniform, (deg+1)-list and mixed full/partial palettes of `g`. The mixed
+/// set has been written, so it owns its rows; the other two share theirs.
 std::vector<PaletteSet> palette_kinds(const Graph& g) {
   PaletteSet mixed = PaletteSet::delta_plus_one(g);
   for (NodeId v = 0; v < g.num_nodes(); v += 5) {
@@ -373,30 +381,236 @@ TEST(RemoveNeighborColors, MatchesSerialRemoval) {
 
 TEST(RemoveNeighborColors, SharedSetStaysSharedWithoutRemovals) {
   const Graph g = gen_gnp(9000, 0.002, 13);
-  const Color k = Color{g.max_degree()} + 1;
+  ASSERT_GT(g.degree(0), 0u);
   std::vector<NodeId> all(g.num_nodes());
   std::iota(all.begin(), all.end(), NodeId{0});
-  // Nobody colored, then colors outside {0..k-1} only: no palette changes.
-  Coloring coloring(g.num_nodes());
-  PaletteSet pal = PaletteSet::delta_plus_one(g);
   ThreadPool pool(4);
   const auto ignore = [](NodeId, Color) {};
-  EXPECT_EQ(remove_neighbor_colors(g, coloring, all, pal, ExecContext(pool),
-                                   ignore),
-            0u);
-  EXPECT_TRUE(pal.shared());
-  for (NodeId v = 0; v < g.num_nodes(); v += 2) coloring.color[v] = k + v;
-  EXPECT_EQ(remove_neighbor_colors(g, coloring, all, pal, ExecContext(pool),
-                                   ignore),
-            0u);
-  EXPECT_TRUE(pal.shared());
-  // One color inside the palette: the set materializes, once, serially.
-  coloring.color[0] = 1;
-  const std::uint64_t touched = remove_neighbor_colors(
-      g, coloring, all, pal, ExecContext(pool), ignore);
-  EXPECT_EQ(touched, g.degree(0));
-  EXPECT_FALSE(pal.shared());
-  for (const NodeId u : g.neighbors(0)) EXPECT_FALSE(pal.contains(u, 1));
+  for (PaletteSet pal : {PaletteSet::delta_plus_one(g),
+                         PaletteSet::deg_plus_one_lists(g, 5000, 3)}) {
+    // The smallest color above every palette ({0..k-1} has k).
+    Color above = 0;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      above = std::max(above, pal.palette(v).back() + 1);
+    }
+    // Nobody colored, then colors above every palette only: no palette
+    // changes.
+    Coloring coloring(g.num_nodes());
+    EXPECT_EQ(remove_neighbor_colors(g, coloring, all, pal, ExecContext(pool),
+                                     ignore),
+              0u);
+    EXPECT_TRUE(pal.shared());
+    for (NodeId v = 0; v < g.num_nodes(); v += 2) {
+      coloring.color[v] = above + v;
+    }
+    EXPECT_EQ(remove_neighbor_colors(g, coloring, all, pal, ExecContext(pool),
+                                     ignore),
+              0u);
+    EXPECT_TRUE(pal.shared());
+    // One color inside a neighbor's palette: the set materializes, once,
+    // serially.
+    const Color c = pal.palette(g.neighbors(0)[0]).front();
+    std::uint64_t holders = 0;
+    for (const NodeId u : g.neighbors(0)) holders += pal.contains(u, c);
+    coloring.color[0] = c;
+    const std::uint64_t touched = remove_neighbor_colors(
+        g, coloring, all, pal, ExecContext(pool), ignore);
+    EXPECT_EQ(touched, holders);
+    EXPECT_FALSE(pal.shared());
+    for (const NodeId u : g.neighbors(0)) EXPECT_FALSE(pal.contains(u, c));
+  }
+}
+
+// --- Copy-on-write --------------------------------------------------------
+
+/// Every palette's colors, copied out, and the address its row starts at.
+struct PaletteSnapshot {
+  explicit PaletteSnapshot(const PaletteSet& pal) {
+    for (NodeId v = 0; v < pal.num_nodes(); ++v) {
+      const auto p = pal.palette(v);
+      colors.emplace_back(p.begin(), p.end());
+      rows.push_back(p.data());
+    }
+  }
+  bool operator==(const PaletteSnapshot&) const = default;
+  std::vector<std::vector<Color>> colors;
+  std::vector<const Color*> rows;
+};
+
+TEST(PaletteSet, CopiesShareRowsUntilTheirFirstWrite) {
+  const Graph g = gen_gnp(9000, 0.002, 14);
+  ASSERT_GT(g.degree(0), 0u);
+  const std::vector<NodeId> all = iota_nodes(g.num_nodes());
+  std::vector<PaletteSet> kinds = palette_kinds(g);
+  const PaletteSet mixed = std::move(kinds.back());
+  kinds.pop_back();
+  kinds.push_back(PaletteSet::random_lists(g, 5000, 4));
+  ThreadPool pool(4);
+  const auto ignore = [](NodeId, Color) {};
+  // Colors above every palette: coloring with them removes nothing.
+  constexpr Color kAbove = Color{1} << 40;
+  Coloring no_hits(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); v += 2) no_hits.color[v] = kAbove + v;
+  const NodeId w = g.neighbors(0)[0];  // a neighbor of node 0
+
+  {
+    // A set that owns its rows copies them.
+    ASSERT_FALSE(mixed.shared());
+    const PaletteSnapshot before(mixed);
+    const PaletteSet copy = mixed;
+    EXPECT_FALSE(copy.shared());
+    const PaletteSnapshot got(copy);
+    EXPECT_EQ(got.colors, before.colors);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_NE(got.rows[v], before.rows[v]) << "node " << v;
+    }
+  }
+
+  for (const PaletteSet& original : kinds) {
+    ASSERT_TRUE(original.shared());
+    const PaletteSnapshot before(original);
+    const PaletteIndex index(all, original);
+    std::vector<std::uint32_t> color_bin(index.num_colors());
+    for (std::size_t k = 0; k < color_bin.size(); ++k) color_bin[k] = k % 2;
+    std::vector<NodeId> every_third;
+    for (NodeId v = 0; v < g.num_nodes(); v += 3) every_third.push_back(v);
+    Coloring hits(g.num_nodes());
+    hits.color[0] = original.palette(w).front();
+    std::vector<NodeId> uncolored(all.begin() + 1, all.end());
+
+    const std::pair<const char*, std::function<void(PaletteSet&)>> writes[] =
+        {{"restrict",
+          [&](PaletteSet& p) {
+            p.restrict(w, [](Color c) { return c % 2 == 0; });
+          }},
+         {"remove_color hit",
+          [&](PaletteSet& p) {
+            EXPECT_TRUE(p.remove_color(w, p.palette(w).front()));
+          }},
+         {"shrinking truncate",
+          [&](PaletteSet& p) { p.truncate(w, p.palette_size(w) - 1); }},
+         {"restrict_to_bin",
+          [&](PaletteSet& p) {
+            p.restrict_to_bin(every_third, all, index, color_bin, 1,
+                              ExecContext(pool));
+          }},
+         {"remove_neighbor_colors with hits", [&](PaletteSet& p) {
+            EXPECT_GT(remove_neighbor_colors(g, hits, uncolored, p,
+                                             ExecContext(pool), ignore),
+                      0u);
+          }}};
+    for (const auto& [name, write] : writes) {
+      SCOPED_TRACE(name);
+      PaletteSet copy = original;
+      EXPECT_TRUE(copy.shared());
+      EXPECT_EQ(PaletteSnapshot(copy).rows, before.rows);
+
+      // Writes that change nothing keep the copy sharing.
+      EXPECT_FALSE(copy.remove_color(w, kAbove));
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        copy.truncate(v, copy.palette_size(v));
+      }
+      EXPECT_EQ(remove_neighbor_colors(g, no_hits, all, copy,
+                                       ExecContext(pool), ignore),
+                0u);
+      EXPECT_TRUE(copy.shared());
+      EXPECT_EQ(PaletteSnapshot(copy).rows, before.rows);
+
+      // The first real write gives the copy its own rows: the original
+      // keeps its colors at their addresses, and a span borrowed from the
+      // copy before the write still reads them.
+      const std::span<const Color> borrowed = copy.palette(w);
+      write(copy);
+      EXPECT_FALSE(copy.shared());
+      const PaletteSnapshot after(original);
+      EXPECT_EQ(after.colors, before.colors);
+      EXPECT_EQ(after.rows, before.rows);
+      EXPECT_TRUE(std::ranges::equal(borrowed, before.colors[w]));
+      EXPECT_TRUE(original.shared());
+    }
+  }
+}
+
+// --- The drivers read the caller's palettes, never write them ------------
+//
+// Each driver works on a copy of the caller's PaletteSet, which shares the
+// caller's rows until its first write (graph/palette.hpp). These inputs
+// partition into b > 2 bins, so the drivers restrict palettes and run
+// sibling bins concurrently: a write into the shared rows would change the
+// caller's set, or race with the other run reading it.
+
+/// What a driver run must repeat: its coloring and its ledgers.
+struct DriverOutput {
+  bool operator==(const DriverOutput&) const = default;
+  std::vector<Color> coloring;
+  std::string ledgers;
+};
+
+/// Runs the driver without a pool, on 1- and 4-thread pools, and twice at
+/// once on two 2-thread pools, all on the one const set `pal`.
+void expect_caller_palettes_untouched(
+    const PaletteSet& pal,
+    const std::function<DriverOutput(ExecContext)>& run) {
+  const PaletteSnapshot before(pal);
+  const DriverOutput base = run({});
+  EXPECT_TRUE(PaletteSnapshot(pal) == before);
+  for (const unsigned t : {1u, 4u}) {
+    ThreadPool pool(t);
+    EXPECT_TRUE(run(ExecContext(pool)) == base) << t << " threads";
+    EXPECT_TRUE(PaletteSnapshot(pal) == before) << t << " threads";
+  }
+  DriverOutput at_once[2];
+  {
+    const auto run_on_own_pool = [&](DriverOutput& out) {
+      ThreadPool pool(2);
+      out = run(ExecContext(pool));
+    };
+    std::jthread first(run_on_own_pool, std::ref(at_once[0]));
+    std::jthread second(run_on_own_pool, std::ref(at_once[1]));
+  }
+  EXPECT_TRUE(at_once[0] == base);
+  EXPECT_TRUE(at_once[1] == base);
+  EXPECT_TRUE(PaletteSnapshot(pal) == before);
+}
+
+TEST(CallerPalettes, LowSpaceLeavesThemAlone) {
+  // ParallelInvariance.LowSpaceMultiBinRestriction's input: b = 3 at
+  // delta = 0.2, and every node partitions.
+  const Graph g = gen_random_regular(900, 64, 9);
+  const PaletteSet pal = PaletteSet::deg_plus_one_lists(g, 1u << 20, 7);
+  expect_caller_palettes_untouched(pal, [&](ExecContext exec) {
+    LowSpaceParams params;
+    params.delta = 0.2;
+    params.low_deg_coeff = 2.0;
+    params.exec = exec;
+    const auto r = low_space_color(g, pal, params);
+    EXPECT_GT(r.num_partitions, 0u);
+    EXPECT_TRUE(verify_coloring(g, pal, r.coloring).ok);
+    return DriverOutput{r.coloring.color, ledger_to_json(r.ledger) +
+                                              mpc_costs_to_json(r.mpc)};
+  });
+}
+
+TEST(CallerPalettes, ColorReduceLeavesThemAlone) {
+  // Four bins: the root restricts the palettes of three concurrently
+  // recursing color bins, then updates the last bin's. Δ+1 lists, because
+  // (deg+1)-lists leave no slack for a restricted palette: every node of
+  // them lands in the last bin or G0, and the run writes no palette.
+  const Graph g = gen_gnp(4000, 8.0 / 4000, 61);
+  const PaletteSet pal = PaletteSet::random_lists(g, 1u << 20, 7);
+  expect_caller_palettes_untouched(pal, [&](ExecContext exec) {
+    ColorReduceConfig cfg;
+    cfg.part.min_bins = 4;
+    cfg.exec = exec;
+    const auto r = color_reduce(g, pal, cfg);
+    EXPECT_EQ(r.root.num_bins, 4u);
+    for (std::size_t i = 0; i + 1 < r.root.children.size(); ++i) {
+      EXPECT_GT(r.root.children[i].n, 0u) << "color bin " << i + 1;
+    }
+    EXPECT_TRUE(verify_coloring(g, pal, r.coloring).ok);
+    return DriverOutput{r.coloring.color, ledger_to_json(r.ledger) +
+                                              mpc_costs_to_json(r.mpc)};
+  });
 }
 
 }  // namespace
