@@ -3,14 +3,15 @@
 // Three latencies per pipeline on the same n=2^14 instance:
 //
 //   cold_oneshot   full `detcol color` subprocess (DETCOL_BIN): process
-//                  startup + graph build + palette build + power tables +
-//                  the pipeline itself, per request;
+//                  startup + graph build + palette build + the pipeline
+//                  itself, per request;
 //   warm_cached    a request against a running server whose result cache
 //                  holds this exact request — the steady state of a client
 //                  re-asking an identical question;
 //   warm_compute   a request that misses the result cache (fresh seed in
-//                  the cache key) but hits the resident instance — the
-//                  pipeline recomputes, everything else is amortized.
+//                  the cache key) but hits the resident instance — graph
+//                  and palettes are amortized; the pipeline recomputes,
+//                  power tables included.
 //
 // The server runs in-process on a background thread; requests travel over a
 // real Unix-domain socket through the real client, so the measured warm

@@ -51,15 +51,13 @@ std::string pipeline_names(bool PipelineInfo::*property) {
 
 PipelineRun run_pipeline(const std::string& algo, const Graph& g,
                          const PaletteSet& palettes, ExecContext exec,
-                         std::uint64_t seed, bool want_stats,
-                         PowerTableProvider* tables) {
+                         std::uint64_t seed, bool want_stats) {
   PipelineRun out;
   out.coloring = Coloring(g.num_nodes());
   WallTimer timer;
   if (algo == "reduce" || algo == "randreduce") {
     ColorReduceConfig cfg;
     cfg.exec = exec;
-    cfg.part.tables = tables;
     ColorReduceResult r = algo == "reduce"
                               ? color_reduce(g, palettes, cfg)
                               : randomized_reduce(g, palettes, seed, cfg);
@@ -70,7 +68,6 @@ PipelineRun run_pipeline(const std::string& algo, const Graph& g,
   } else if (algo == "lowspace") {
     LowSpaceParams params;
     params.exec = exec;
-    params.tables = tables;
     LowSpaceResult r = low_space_color(g, palettes, params);
     out.rounds = r.ledger.total_rounds();
     out.mpc_json = mpc_costs_to_json(r.mpc);

@@ -4,8 +4,7 @@
 // byte-identical to one-shot runs: both sides execute the exact same
 // pipeline code on the exact same Graph/PaletteSet, differing only in the
 // ExecContext (the server hands down a thread-budgeted copy of its shared
-// pool) and the optional PowerTableProvider (the server's per-instance
-// table cache; null rebuilds tables per run, which never changes results).
+// pool). Every run builds its own seed-evaluation tables.
 #pragma once
 
 #include <cstdint>
@@ -15,10 +14,6 @@
 #include "graph/coloring.hpp"
 #include "graph/graph.hpp"
 #include "graph/palette.hpp"
-
-namespace detcol {
-class PowerTableProvider;  // hashing/batch_eval.hpp
-}
 
 namespace detcol::cli {
 
@@ -56,7 +51,6 @@ struct PipelineRun {
 /// the "timing" block of stats_json and wall_seconds vary across runs.
 PipelineRun run_pipeline(const std::string& algo, const Graph& g,
                          const PaletteSet& palettes, ExecContext exec,
-                         std::uint64_t seed, bool want_stats,
-                         PowerTableProvider* tables = nullptr);
+                         std::uint64_t seed, bool want_stats);
 
 }  // namespace detcol::cli

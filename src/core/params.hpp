@@ -8,8 +8,7 @@
 // capacity (core/classify.cpp). PartitionParams holds what some caller sets:
 // bench_ablation varies bin_exp, independence, collect_factor and g0_budget;
 // tests set min_bins and min_ell; tests and the randomized baseline set the
-// seed search; the serving layer sets tables. Defaults are the paper's
-// values where it has one.
+// seed search. Defaults are the paper's values where it has one.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +16,6 @@
 #include "derand/strategies.hpp"
 
 namespace detcol {
-
-class PowerTableProvider;  // hashing/batch_eval.hpp
 
 // Exponents of Definition 3.1 / Algorithm 2.
 inline constexpr double kDegSlackExp = 0.6;  // degree deviation ell^0.6
@@ -46,13 +43,6 @@ struct PartitionParams {
   /// Below this ell a partition is pointless (slack terms exceed degrees);
   /// such instances are collected directly.
   double min_ell = 4.0;
-
-  /// Optional source of shared seed-evaluation power tables
-  /// (hashing/batch_eval.hpp). Null = every engine builds its own (the
-  /// one-shot CLI path); the serving layer points this at a per-instance
-  /// cache so repeated requests on one graph skip the table builds. Must be
-  /// thread-safe; never changes results.
-  PowerTableProvider* tables = nullptr;
 
   SeedSelectConfig seed;
 };

@@ -22,16 +22,16 @@ SeedEvalEngine::SeedEvalEngine(const Instance& inst, const PaletteSet& palettes,
       b_(::detcol::num_bins(inst.ell, params)),  // the free function, not
                                                  // the member accessor
       c_(params.independence),
-      h1_(acquire_power_table(
-              params.tables,
+      h1_(std::make_shared<const M61PowerTable>(
               std::vector<std::uint64_t>(inst.orig.begin(), inst.orig.end()),
               c_, exec),
           b_) {
   DC_CHECK(b_ >= 2, "partition needs at least 2 bins");
   if (b_ > 2) {  // several color bins (b = 2: no h2 state, header comment)
     index_ = PaletteIndex(inst.orig, palettes, exec);
-    h2_.emplace(acquire_power_table(params.tables, index_.colors(), c_, exec),
-                b_ - 1);
+    h2_.emplace(
+        std::make_shared<const M61PowerTable>(index_.colors(), c_, exec),
+        b_ - 1);
     cbin_.assign(index_.num_colors(), 0);
     colors_in_bin_.assign(b_ - 1, 0);
   }

@@ -8,11 +8,10 @@
 // on the seed:
 //
 //  * power tables  — x^j mod 2^61-1 for every node id and every *distinct*
-//    palette color, built once (BatchKWiseEval) and, without a
-//    PowerTableProvider, sharded over the engine's exec; a candidate whose
-//    seed shares a prefix with the previous one (the method of conditional
-//    expectations changes one chunk at a time) costs one multiply-add per
-//    point per changed coefficient;
+//    palette color, built once per search (BatchKWiseEval) and sharded over
+//    the engine's exec; a candidate whose seed shares a prefix with the
+//    previous one (the method of conditional expectations changes one chunk
+//    at a time) costs one multiply-add per point per changed coefficient;
 //  * distinct-color memoization — h2 is evaluated once per distinct color in
 //    the union of palettes instead of once per (node, color) pair; nodes
 //    whose palette is the full color universe (every node, in the uniform

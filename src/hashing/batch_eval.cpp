@@ -33,17 +33,6 @@ M61PowerTable::M61PowerTable(std::span<const std::uint64_t> points,
       });
 }
 
-bool M61PowerTable::matches(std::span<const std::uint64_t> points,
-                            unsigned independence) const {
-  if (independence != c_ || points.size() != n_) return false;
-  if (c_ == 1) return true;  // only the all-ones row exists
-  const std::uint64_t* x1 = row(1);
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (m61_reduce(points[i]) != x1[i]) return false;
-  }
-  return true;
-}
-
 std::shared_ptr<const M61PowerTable> acquire_power_table(
     PowerTableProvider* provider, std::span<const std::uint64_t> points,
     unsigned independence, ExecContext exec) {

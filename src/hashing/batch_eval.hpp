@@ -15,12 +15,8 @@
 //
 // The power table itself is a pure function of (points, independence) — it
 // carries no load state — so it lives in its own immutable value type,
-// M61PowerTable, shareable across engines, threads and (via a
-// PowerTableProvider) across whole runs: the serving layer keeps each
-// instance's tables resident so repeated requests on one graph skip the
-// O(n·c) table build entirely. Sharing is invisible in outputs: a cached
-// table is byte-identical to a freshly built one (the construction is
-// deterministic and every field kernel is bit-identical per element).
+// M61PowerTable. Each seed search builds its own, sharded over the engine's
+// exec.
 //
 // Field values (and hence the range mapping of Section 2.3) are bit-identical
 // to KWiseHash::field_eval / to_range: both compute the exact same element of
@@ -42,8 +38,7 @@ namespace detcol {
 /// j in [0, independence). Row 0 is all ones; row 1 is the reduced points.
 /// Construction is deterministic and kernel-independent (all kernels are
 /// bit-identical per element), so two tables built from the same
-/// (points, independence) pair hold identical bytes — the property that
-/// makes cross-request sharing safe.
+/// (points, independence) pair hold identical bytes.
 class M61PowerTable {
  public:
   /// The construction shards over `exec` (static shard boundaries; every
@@ -54,15 +49,6 @@ class M61PowerTable {
   std::size_t num_points() const { return n_; }
   unsigned independence() const { return c_; }
   const std::uint64_t* row(unsigned j) const { return pow_.get() + j * n_; }
-  std::size_t bytes() const { return c_ * n_ * sizeof(std::uint64_t); }
-
-  /// True iff this table is exactly the one (points, independence) would
-  /// build: same independence, same count, and every reduced point matches
-  /// row 1. The table content is a pure function of the reduced points, so a
-  /// true result guarantees byte-identity — providers use this to make hash
-  /// collisions in their cache keys harmless.
-  bool matches(std::span<const std::uint64_t> points,
-               unsigned independence) const;
 
  private:
   unsigned c_;
@@ -70,12 +56,12 @@ class M61PowerTable {
   std::unique_ptr<std::uint64_t[]> pow_;  // c_ rows of n_ points
 };
 
-/// Source of shared power tables. acquire() must return a table for exactly
-/// (points, independence) — typically from a cache, building on miss — and
-/// must be thread-safe: engines are constructed concurrently from sibling
-/// recursion tasks. Implementations live above the core layers (the serving
-/// layer's per-instance store); pipeline configs carry a nullable pointer
-/// and engines fall back to building private tables when it is null.
+/// Source of power tables built elsewhere. acquire() must return a table for
+/// exactly (points, independence) and must be thread-safe: engines are
+/// constructed concurrently from sibling recursion tasks. Nothing in the
+/// library implements it or passes a non-null one. It remains only for
+/// LowSpaceSeedEngine's trailing `tables` parameter, which
+/// perfbench/probes.cpp passes as nullptr.
 class PowerTableProvider {
  public:
   virtual ~PowerTableProvider() = default;
@@ -84,7 +70,8 @@ class PowerTableProvider {
 };
 
 /// Build a table directly, sharded over `exec`, when `provider` is null;
-/// else route through the provider, which builds its own tables.
+/// else route through the provider. In the library only LowSpaceSeedEngine
+/// calls it, and every library caller of that engine passes a null provider.
 std::shared_ptr<const M61PowerTable> acquire_power_table(
     PowerTableProvider* provider, std::span<const std::uint64_t> points,
     unsigned independence, ExecContext exec);
@@ -102,8 +89,8 @@ class BatchKWiseEval {
   BatchKWiseEval(std::span<const std::uint64_t> points, unsigned independence,
                  std::uint64_t range);
 
-  /// Same engine on a pre-built (possibly shared) power table. Load state is
-  /// engine-private; only the immutable table is shared.
+  /// Same engine on a pre-built power table. Load state is engine-private;
+  /// the table is immutable.
   BatchKWiseEval(std::shared_ptr<const M61PowerTable> table,
                  std::uint64_t range);
 

@@ -228,7 +228,7 @@ class LsDriver {
     // tables amortized over the whole search, per-node passes sharded over
     // the pool; bit-identical to the naive per-candidate recomputation.
     LowSpaceSeedEngine engine(high.graph, high.orig, pal_, b, c, p_.slack_exp,
-                              p_.exec, p_.tables);
+                              p_.exec);
     const auto cost = [&engine](const SeedBits& s) { return engine.cost(s); };
     const SeedSelectResult sel =
         select_seed(bits, cost, 0.0, p_.seed, sub_seed(salt, 1));

@@ -25,14 +25,12 @@
 
 namespace detcol {
 
-class PowerTableProvider;  // hashing/batch_eval.hpp
-
 /// What a caller can set. The model's local space
 /// s = max(2^14, 8 * n^{22*delta}) words (the paper sets delta = eps/22,
 /// i.e. s = n^eps) and the recursion-depth cap of 64 are constants
 /// (low_space.cpp). Tests and lowspace_demo vary delta, a test sets
-/// low_deg_coeff, the CLI sets exec and tables, and perfbench reads the
-/// defaults it replays.
+/// low_deg_coeff, the CLI sets exec, and perfbench reads the defaults it
+/// replays.
 struct LowSpaceParams {
   /// The paper's delta (bins per level b = max(2, floor(n^delta))).
   double delta = 0.08;
@@ -50,12 +48,6 @@ struct LowSpaceParams {
   /// MIS phase simulations — `mis.exec` is overridden with this value)
   /// shards over it. Results are bit-identical for any thread count.
   ExecContext exec;
-
-  /// Optional shared power-table source (hashing/batch_eval.hpp) for the
-  /// partition seed engine of every recursion level. The MIS phases need
-  /// none: their priorities are Horner steps from the seed's coefficients.
-  /// Null = private tables; never changes results.
-  PowerTableProvider* tables = nullptr;
 };
 
 struct LowSpaceResult {

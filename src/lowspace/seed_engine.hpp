@@ -16,9 +16,8 @@
 // exactly in the style of core/seed_eval.hpp:
 //
 //  * power tables (BatchKWiseEval) over the node ids and the distinct
-//    palette colors, built once per search (without a PowerTableProvider,
-//    sharded over exec) — a candidate costs one multiply-add per point per
-//    *changed* seed word;
+//    palette colors, built once per search and sharded over exec — a
+//    candidate costs one multiply-add per point per *changed* seed word;
 //  * distinct-color memoization — h2 is evaluated once per distinct color in
 //    the union of palettes; nodes whose palette is the full color universe
 //    read their p'(v) from a per-bin color count in O(1). The index behind
@@ -69,7 +68,9 @@ class LowSpaceSeedEngine {
   /// is in use (the driver holds palettes fixed for the whole seed search).
   /// Seed layout: `independence` words for h1 (range `num_bins`), then
   /// `independence` words for h2 (range `num_bins` - 1). `tables`, when
-  /// non-null, supplies the shared power tables (see batch_eval.hpp).
+  /// non-null, supplies the power tables (see batch_eval.hpp). The driver
+  /// passes none; the parameter stays for perfbench/probes.cpp, which passes
+  /// nullptr explicitly.
   LowSpaceSeedEngine(const Graph& g, std::span<const NodeId> orig,
                      const PaletteSet& palettes, std::uint64_t num_bins,
                      unsigned independence, double slack_exp,

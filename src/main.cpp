@@ -19,7 +19,7 @@
 //   detcol color --n=1000 --p=0.02 --out=run.colors
 //   detcol verify --coloring=run.colors
 //
-// Served session (amortizes graph + power-table setup across requests):
+// Served session (amortizes graph + palette setup across requests):
 //   detcol serve --listen=/tmp/detcol.sock &
 //   detcol color --n=1000 --p=0.02 --server=/tmp/detcol.sock --out=run.colors
 #include <algorithm>

@@ -10,78 +10,6 @@
 
 namespace detcol::serve {
 
-namespace {
-
-/// FNV-1a over the words (independence, |points|, points...), each as its
-/// 8 native (little-endian) bytes.
-std::uint64_t table_key(std::span<const std::uint64_t> points,
-                        unsigned independence) {
-  const auto bytes = [](std::span<const std::uint64_t> words) {
-    return std::string_view(reinterpret_cast<const char*>(words.data()),
-                            words.size_bytes());
-  };
-  const std::uint64_t head[] = {independence, points.size()};
-  return fnv1a64(bytes(points), fnv1a64(bytes(head)));
-}
-
-}  // namespace
-
-std::shared_ptr<const M61PowerTable> PowerTableStore::acquire(
-    std::span<const std::uint64_t> points, unsigned independence) {
-  const std::uint64_t key = table_key(points, independence);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(key);
-    if (it != index_.end() && it->second->table->matches(points,
-                                                         independence)) {
-      ++hits_;
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return it->second->table;
-    }
-  }
-  // Build outside the lock: table construction is the expensive part, and
-  // two concurrent misses building the same table is only wasted work, never
-  // wrong (the tables are byte-identical by construction).
-  auto table = std::make_shared<const M61PowerTable>(points, independence);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++misses_;
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    // Lost the race (or a genuine hash collision lives at this key): keep
-    // the incumbent if it is the right table, else replace it.
-    if (it->second->table->matches(points, independence)) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return it->second->table;
-    }
-    bytes_ -= it->second->table->bytes();
-    lru_.erase(it->second);
-    index_.erase(it);
-  }
-  lru_.push_front(Entry{key, table});
-  index_[key] = lru_.begin();
-  bytes_ += table->bytes();
-  while (bytes_ > max_bytes_ && lru_.size() > 1) {
-    DC_FAILPOINT("serve.instance.evict");
-    const Entry& victim = lru_.back();
-    bytes_ -= victim.table->bytes();
-    index_.erase(victim.key);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  return table;
-}
-
-PowerTableStore::Counters PowerTableStore::counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Counters c;
-  c.hits = hits_;
-  c.misses = misses_;
-  c.evictions = evictions_;
-  c.resident_bytes = bytes_;
-  c.resident_tables = lru_.size();
-  return c;
-}
-
 std::shared_ptr<const PaletteSet> ServeInstance::palettes(
     const std::string& palette_spec, std::string* canonical_out) {
   const std::string raw =

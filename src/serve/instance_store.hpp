@@ -1,27 +1,28 @@
 // The server's LRU-bounded instance cache — what makes warm requests cheap.
 //
 // A cold `detcol color` pays process startup, graph construction (or file
-// parse), palette construction, and every per-engine M61 power table before
-// a single seed is evaluated. The serving layer amortizes all of it:
+// parse) and palette construction before a single seed is evaluated. The
+// serving layer amortizes those:
 //
 //   * ServeInstance keeps one parsed Graph resident, plus a per-instance
-//     cache of built PaletteSets (keyed by canonical palette spec) and a
-//     PowerTableStore that hands the pipeline engines shared power tables
-//     across requests.
+//     cache of built PaletteSets (keyed by canonical palette spec).
 //   * InstanceStore maps request graph specs to instances. Raw specs alias:
 //     "--gen=gnp --n=100 --p=0.1 --seed=1" and a reordered/defaulted
 //     spelling of the same instance resolve — via the canonical spec string
 //     build_graph produces, then via the fnv1a64 checksum of the graph's
 //     .dcg serialization — to ONE resident instance.
 //   * Residency is LRU-bounded at `max_instances` graphs; eviction drops
-//     the instance's palettes and tables with it. In-flight requests hold
-//     shared_ptr handles, so evicting an instance under a running request
-//     is safe — the memory goes when the last request finishes.
+//     the instance's palettes with it. In-flight requests hold shared_ptr
+//     handles, so evicting an instance under a running request is safe —
+//     the memory goes when the last request finishes.
+//
+// The seed engines' power tables are not cached: each run builds its own,
+// as the one-shot CLI does. A table serves one seed search, and at served
+// sizes building it is cheaper than hashing its points to look it up.
 //
 // Sharing never changes results: graphs/palettes are immutable after
-// construction, and power tables are pure functions of their inputs
-// (hashing/batch_eval.hpp). The store only changes WHERE the bytes come
-// from, never what they are.
+// construction. The store only changes WHERE the bytes come from, never
+// what they are.
 //
 // Thread safety: every public entry point locks internally (this is the
 // serving layer — the core-pipeline no-mutex rule does not apply here).
@@ -34,53 +35,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "exec/exec.hpp"
 #include "graph/graph.hpp"
 #include "graph/palette.hpp"
-#include "hashing/batch_eval.hpp"
 
 namespace detcol::serve {
-
-/// Thread-safe PowerTableProvider backed by a byte-bounded LRU. Keyed by a
-/// hash of (independence, points); a hash collision is harmless: the cached
-/// table is verified with M61PowerTable::matches() before reuse, and a
-/// mismatch falls back to building a fresh table for this request.
-class PowerTableStore : public PowerTableProvider {
- public:
-  explicit PowerTableStore(std::size_t max_bytes = std::size_t{256} << 20)
-      : max_bytes_(max_bytes) {}
-
-  std::shared_ptr<const M61PowerTable> acquire(
-      std::span<const std::uint64_t> points, unsigned independence) override;
-
-  struct Counters {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t resident_bytes = 0;
-    std::uint64_t resident_tables = 0;
-  };
-  Counters counters() const;
-
- private:
-  struct Entry {
-    std::uint64_t key;
-    std::shared_ptr<const M61PowerTable> table;
-  };
-
-  const std::size_t max_bytes_;
-  mutable std::mutex mu_;
-  std::list<Entry> lru_;  // front = most recent
-  std::map<std::uint64_t, std::list<Entry>::iterator> index_;
-  std::size_t bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-};
 
 /// One resident graph with everything requests on it can share.
 class ServeInstance {
@@ -94,7 +55,6 @@ class ServeInstance {
   const std::string& canonical_spec() const { return canonical_spec_; }
   const Graph& graph() const { return graph_; }
   std::uint64_t checksum() const { return checksum_; }
-  PowerTableStore& tables() { return tables_; }
 
   /// The PaletteSet for `palette_spec` (raw request spelling), built through
   /// cli::build_palettes on first use and cached under its canonical spec.
@@ -107,7 +67,6 @@ class ServeInstance {
   const std::string canonical_spec_;
   const Graph graph_;
   const std::uint64_t checksum_;
-  PowerTableStore tables_;
 
   std::mutex mu_;
   std::map<std::string, std::string> palette_alias_;  // raw -> canonical

@@ -195,9 +195,8 @@ CachedResult run_color(ServerState& st, const Request& req,
     exec.set_deadline(&deadline);
   }
   const bool want_stats = req.want_stats || req.op == "stats";
-  cli::PipelineRun run =
-      cli::run_pipeline(req.algo, inst.graph(), *palettes, exec, req.seed,
-                        want_stats, &inst.tables());
+  cli::PipelineRun run = cli::run_pipeline(
+      req.algo, inst.graph(), *palettes, exec, req.seed, want_stats);
   const VerifyResult v =
       verify_coloring(inst.graph(), *palettes, run.coloring);
   DC_CHECK(v.ok, "algo '", req.algo, "' produced an invalid coloring: ",

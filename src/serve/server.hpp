@@ -3,8 +3,8 @@
 //
 // One process listens on a Unix-domain socket (plus an optional loopback
 // TCP port), keeps an LRU-bounded InstanceStore of parsed graphs with their
-// palettes and power tables resident, and executes requests concurrently on
-// one shared ThreadPool — each request running under a thread *budget*
+// palettes resident, and executes requests concurrently on one shared
+// ThreadPool — each request running under a thread *budget*
 // (ExecContext::with_budget) equal to its own "threads" field, so the
 // response is byte-identical to `detcol color --threads=N` regardless of
 // how many workers the server actually has. Identical requests are answered

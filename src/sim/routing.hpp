@@ -1,20 +1,24 @@
-// Message-level balanced routing on the cc::Network — a working model of
-// Lenzen's routing theorem [15] at true per-link granularity.
+// Message-level routing on the cc::Network at true per-link granularity.
 //
-// Lenzen's result: any pattern in which every node sends and receives O(n)
-// words can be delivered in O(1) rounds of the CONGESTED CLIQUE. The costed
-// CliqueSim consumes that as a black box; this module *implements* a
-// deterministic two-phase balanced scheme (send via spread-out
-// intermediaries, then forward to destinations) on the bandwidth-enforcing
-// network, so tests can observe the O(1)-round behaviour for balanced loads
-// and the graceful degradation for skewed ones.
+// Lenzen's result [15]: any pattern in which every node sends and receives
+// O(n) words can be delivered in O(1) rounds of the CONGESTED CLIQUE. The
+// costed CliqueSim consumes that as a black box. This module is not
+// Lenzen's scheme: it implements a deterministic two-phase scheme (send via
+// spread-out intermediaries, then forward to destinations) on the
+// bandwidth-enforcing network, so tests can deliver real messages.
 //
 // The scheme is the classical Valiant-style two-phase (deterministic
 // variant): sender v forwards its k-th packet to intermediary (v+k+1) mod n,
-// which then forwards it to the true destination. For loads with
-// send/receive degree <= n it completes in a small constant number of
-// rounds; heavier loads take proportionally longer, which the return value
-// reports.
+// which then forwards it to the true destination. Phase 1 takes
+// ceil(max send load / (n-1)) rounds. Phase 2 moves at most one packet per
+// (intermediary, destination) link per round, so it lasts as long as the
+// most packets one intermediary holds for one destination. A permutation or
+// an all-to-all finishes in a few rounds, but that count is not bounded by
+// a constant for every load within Lenzen's O(n) bound, and it grows with n
+// on the collects of a ColorReduce level (core/network_color.hpp): on
+// random 8-regular graphs the level spends 26-29 rounds beyond its seed
+// agreement at n = 64-256, and 32-37 at n = 512 and 1024. Heavier loads take
+// proportionally longer; the return value reports both phases.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
-// Serving-layer unit tests: wire framing, request schema, the power-table
-// and instance LRU caches, shared-vs-private table bit-identity, the
-// pipeline registry, coloring-file verifier and error taxonomy the server
-// shares with the CLI, and the per-request thread-budget reporting contract. End-to-end server tests
-// (real subprocess + socket) live in test_serve_e2e.cpp.
+// Serving-layer unit tests: wire framing, request schema, the instance LRU
+// cache, the pipeline registry, coloring-file verifier and error taxonomy
+// the server shares with the CLI, and the per-request thread-budget
+// reporting contract. End-to-end server tests (real subprocess + socket)
+// live in test_serve_e2e.cpp.
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,7 +12,6 @@
 #include <stdexcept>
 #include <string>
 #include <system_error>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -208,73 +207,6 @@ TEST(ServeRequest, ParseEndpointForms) {
 }
 
 // ---------------------------------------------------------------------------
-// PowerTableStore.
-// ---------------------------------------------------------------------------
-
-std::vector<std::uint64_t> iota_points(std::uint64_t n) {
-  std::vector<std::uint64_t> out(n);
-  for (std::uint64_t i = 0; i < n; ++i) out[i] = i;
-  return out;
-}
-
-TEST(PowerTableStore, SecondAcquireSharesTheTable) {
-  PowerTableStore store;
-  const auto points = iota_points(50);
-  const auto first = store.acquire(points, 4);
-  const auto second = store.acquire(points, 4);
-  EXPECT_EQ(first.get(), second.get());
-  const auto c = store.counters();
-  EXPECT_EQ(c.hits, 1u);
-  EXPECT_EQ(c.misses, 1u);
-  EXPECT_EQ(c.resident_tables, 1u);
-}
-
-TEST(PowerTableStore, DifferentIndependenceIsADifferentTable) {
-  PowerTableStore store;
-  const auto points = iota_points(50);
-  const auto a = store.acquire(points, 4);
-  const auto b = store.acquire(points, 5);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(store.counters().misses, 2u);
-}
-
-TEST(PowerTableStore, ByteBoundEvictsLeastRecentlyUsed) {
-  // Each table holds n*independence field elements; bound the store so only
-  // one table of this shape fits at a time.
-  PowerTableStore store(/*max_bytes=*/100 * 4 * 8 + 64);
-  const auto points_a = iota_points(100);
-  const auto points_b = iota_points(101);
-  const auto a = store.acquire(points_a, 4);
-  const auto b = store.acquire(points_b, 4);
-  EXPECT_TRUE(b->matches(points_b, 4));
-  EXPECT_GE(store.counters().evictions, 1u);
-  // The evicted table is still alive through our shared_ptr, and
-  // re-acquiring builds a fresh (but bit-identical) one.
-  const auto a2 = store.acquire(points_a, 4);
-  EXPECT_NE(a.get(), a2.get());
-  ASSERT_EQ(a->num_points(), a2->num_points());
-  EXPECT_TRUE(a2->matches(points_a, 4));
-}
-
-TEST(PowerTableStore, ConcurrentAcquiresConverge) {
-  PowerTableStore store;
-  const auto points = iota_points(200);
-  std::vector<std::shared_ptr<const M61PowerTable>> got(8);
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 8; ++i) {
-    threads.emplace_back(
-        [&store, &points, &got, i] { got[i] = store.acquire(points, 4); });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& table : got) {
-    ASSERT_NE(table, nullptr);
-    EXPECT_TRUE(table->matches(points, 4));
-  }
-  // Racing builds may waste work but exactly one table stays resident.
-  EXPECT_EQ(store.counters().resident_tables, 1u);
-}
-
-// ---------------------------------------------------------------------------
 // InstanceStore.
 // ---------------------------------------------------------------------------
 
@@ -350,78 +282,6 @@ TEST(ServeInstance, PaletteCacheAliasesRawSpellings) {
   const auto c = acq.instance->palettes(
       "--palette=lists --color-space=4096 --palette-seed=3", nullptr);
   EXPECT_NE(a.get(), c.get());
-}
-
-// ---------------------------------------------------------------------------
-// Shared tables and budgets never change bytes.
-// ---------------------------------------------------------------------------
-
-TEST(ServeDeterminism, SharedPowerTablesMatchPrivateOnes) {
-  const cli::GraphSource src = cli::build_graph(
-      cli::parse_spec("--gen=gnp --n=300 --p=0.05 --seed=3"),
-      /*allow_algo_seed=*/false);
-  const cli::PaletteSource pal =
-      cli::build_palettes(cli::parse_spec(""), src.graph);
-  InstanceStore store(2);
-  const auto inst = store.acquire("--gen=gnp --n=300 --p=0.05 --seed=3", {});
-  for (const char* algo : {"reduce", "lowspace", "mis"}) {
-    cli::PipelineRun private_run = cli::run_pipeline(
-        algo, src.graph, pal.palettes, {}, 1, /*want_stats=*/false, nullptr);
-    cli::PipelineRun shared_run = cli::run_pipeline(
-        algo, src.graph, pal.palettes, {}, 1, /*want_stats=*/false,
-        &inst.instance->tables());
-    EXPECT_EQ(private_run.coloring.color, shared_run.coloring.color)
-        << "algo=" << algo;
-    EXPECT_EQ(private_run.rounds, shared_run.rounds) << "algo=" << algo;
-  }
-  // The shared runs actually exercised the store.
-  const auto c = inst.instance->tables().counters();
-  EXPECT_GT(c.misses + c.hits, 0u);
-}
-
-TEST(ServeDeterminism, MisRequestsAcquireNoPowerTable) {
-  // MIS priorities are Horner steps from the phase seed's coefficients, so
-  // a served MIS request neither builds nor looks up a table over the
-  // reduction's vertices.
-  const cli::GraphSource src = cli::build_graph(
-      cli::parse_spec("--gen=gnp --n=300 --p=0.05 --seed=3"),
-      /*allow_algo_seed=*/false);
-  const cli::PaletteSource pal =
-      cli::build_palettes(cli::parse_spec(""), src.graph);
-  InstanceStore store(2);
-  const auto inst = store.acquire("--gen=gnp --n=300 --p=0.05 --seed=3", {});
-  const cli::PipelineRun private_run = cli::run_pipeline(
-      "mis", src.graph, pal.palettes, {}, 1, /*want_stats=*/false, nullptr);
-  const cli::PipelineRun shared_run = cli::run_pipeline(
-      "mis", src.graph, pal.palettes, {}, 1, /*want_stats=*/false,
-      &inst.instance->tables());
-  EXPECT_EQ(private_run.coloring.color, shared_run.coloring.color);
-  const auto c = inst.instance->tables().counters();
-  EXPECT_EQ(c.hits, 0u);
-  EXPECT_EQ(c.misses, 0u);
-  EXPECT_EQ(c.resident_tables, 0u);
-}
-
-TEST(ServeDeterminism, RepeatRunsThroughTheStoreHitTables) {
-  const cli::GraphSource src = cli::build_graph(
-      cli::parse_spec("--gen=gnp --n=300 --p=0.05 --seed=3"),
-      /*allow_algo_seed=*/false);
-  const cli::PaletteSource pal =
-      cli::build_palettes(cli::parse_spec(""), src.graph);
-  InstanceStore store(2);
-  const auto inst = store.acquire("--gen=gnp --n=300 --p=0.05 --seed=3", {});
-  cli::PipelineRun first =
-      cli::run_pipeline("reduce", src.graph, pal.palettes, {}, 1, false,
-                        &inst.instance->tables());
-  const std::uint64_t misses_after_first =
-      inst.instance->tables().counters().misses;
-  cli::PipelineRun second =
-      cli::run_pipeline("reduce", src.graph, pal.palettes, {}, 1, false,
-                        &inst.instance->tables());
-  EXPECT_EQ(first.coloring.color, second.coloring.color);
-  // The warm run built nothing new: every table came from the store.
-  EXPECT_EQ(inst.instance->tables().counters().misses, misses_after_first);
-  EXPECT_GT(inst.instance->tables().counters().hits, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -348,13 +348,16 @@ TEST(ServeE2E, CliColorThroughServerMatchesLocalRun) {
   ServerGuard server(sock, {});
   const fs::path local = dir / "local.colors";
   const fs::path served = dir / "served.colors";
-  ASSERT_EQ(run_detcol(std::string("color ") + kGraph + " --quiet --out=" +
-                       shq(local.string())),
-            0);
-  ASSERT_EQ(run_detcol(std::string("color ") + kGraph + " --quiet --server=" +
-                       shq(sock.string()) + " --out=" + shq(served.string())),
-            0);
-  EXPECT_EQ(read_file(local), read_file(served));
+  for (const char* algo : {"reduce", "lowspace", "mis"}) {
+    const std::string color =
+        std::string("color ") + kGraph + " --algo=" + algo + " --quiet";
+    ASSERT_EQ(run_detcol(color + " --out=" + shq(local.string())), 0) << algo;
+    ASSERT_EQ(run_detcol(color + " --server=" + shq(sock.string()) +
+                         " --out=" + shq(served.string())),
+              0)
+        << algo;
+    EXPECT_EQ(read_file(local), read_file(served)) << algo;
+  }
 
   // verify through the server accepts what color produced.
   EXPECT_EQ(run_detcol("verify " + shq(served.string()) + " --server=" +
